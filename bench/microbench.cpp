@@ -1,16 +1,18 @@
 /// Kernel microbenchmarks (google-benchmark): the hot paths every
 /// experiment leans on — absolute-angle computation, Eq. 6 remapping,
-/// overlay routing, the workload samplers, and whole-batch execution at
-/// increasing worker counts.
+/// overlay routing, the workload samplers, directory-store withdrawal
+/// upkeep, and whole-batch execution at increasing worker counts.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "meteorograph/batch.hpp"
+#include "meteorograph/directory.hpp"
 #include "meteorograph/naming.hpp"
 #include "overlay/overlay.hpp"
 #include "vsm/absolute_angle.hpp"
@@ -360,6 +362,61 @@ void BM_KernelAxisAngle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KernelAxisAngle)->Arg(8)->Arg(43)->Arg(512);
+
+// --- directory store (DESIGN.md §9) -----------------------------------------
+//
+// One epoch of withdrawals on a node holding 1k/16k/64k pointers: five
+// pointers tombstoned under retention, then gc(). Keywords are Zipf-drawn
+// from the trace's 89k vocabulary (~10 per pointer), so popular buckets
+// grow with the store. The removed pointers are re-added untimed, which
+// leaves holes behind and lets the amortised compaction run inside the
+// timed gc() as it would in service.
+
+void BM_DirectoryRemoveGc(benchmark::State& state) {
+  Rng rng(11);
+  const ZipfSampler zipf(89'000, 0.95);
+  const auto pointers = static_cast<std::size_t>(state.range(0));
+  std::vector<core::DirectoryPointer> corpus(pointers);
+  for (std::size_t i = 0; i < pointers; ++i) {
+    core::DirectoryPointer& p = corpus[i];
+    p.item = i;
+    p.item_key = rng();
+    for (int k = 0; k < 10; ++k) {
+      p.keywords.push_back(static_cast<vsm::KeywordId>(zipf(rng)));
+    }
+    std::sort(p.keywords.begin(), p.keywords.end());
+    p.keywords.erase(std::unique(p.keywords.begin(), p.keywords.end()),
+                     p.keywords.end());
+  }
+  core::DirectoryStore store;
+  for (const core::DirectoryPointer& p : corpus) store.add(p);
+  vsm::Epoch epoch = 0;
+  std::vector<std::size_t> victims;
+  for (auto _ : state) {
+    state.PauseTiming();
+    victims.clear();
+    while (victims.size() < 5) {
+      const std::size_t v = rng.below(pointers);
+      if (std::find(victims.begin(), victims.end(), v) == victims.end()) {
+        victims.push_back(v);
+      }
+    }
+    state.ResumeTiming();
+    store.retain_versions(true);
+    store.set_write_epoch(++epoch);
+    for (const std::size_t v : victims) {
+      benchmark::DoNotOptimize(store.remove(v));
+    }
+    store.gc();
+    benchmark::ClobberMemory();
+    store.retain_versions(false);
+    state.PauseTiming();
+    for (const std::size_t v : victims) store.add(corpus[v]);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 5);
+}
+BENCHMARK(BM_DirectoryRemoveGc)->Arg(1'000)->Arg(16'000)->Arg(64'000);
 
 // --- batch engine ----------------------------------------------------------
 

@@ -39,56 +39,69 @@ struct DirectoryPointer {
 };
 
 /// Keyword-indexed container for one node's directory pointers
-/// (DESIGN.md §9). Appends preserve publication order — searches chase
-/// pointers in that order, which the determinism goldens pin down — and
-/// `candidates()` returns, in the same order, the indices of pointers
-/// carrying a given keyword, so a search probes one bucket instead of
-/// scanning the node's whole directory on every visit.
+/// (DESIGN.md §9). Pointers live in append-only *slots*, so a slot id is
+/// the pointer's publication order — searches chase pointers in that
+/// order, which the determinism goldens pin down — and `candidates()`
+/// returns, in the same order, the slots of pointers carrying a given
+/// keyword, so a search probes one bucket instead of scanning the node's
+/// whole directory on every visit.
+///
+/// Withdrawals never rebuild the index: a removed pointer is unlinked from
+/// the buckets of its own keywords and leaves a hole in the slot array.
+/// Holes are compacted once they outnumber the other slots, which keeps
+/// the upkeep amortised O(keywords) per removed pointer; compaction
+/// renumbers slots monotonically, so every bucket keeps its order.
 class DirectoryStore {
  public:
   void add(DirectoryPointer pointer) {
-    const std::size_t index = pointers_.size();
+    const std::size_t slot = pointers_.size();
     for (const vsm::KeywordId kw : pointer.keywords) {
-      by_keyword_[kw].push_back(index);
+      by_keyword_[kw].push_back(slot);
     }
+    link_live(pointer.item, slot);
     pointers_.push_back(std::move(pointer));
     stamps_.push_back(Stamp{write_epoch_, vsm::kEpochNever});
   }
 
-  /// Removes the live pointer for `item` (if present), keeping the
-  /// relative order of the rest. The O(pointers) reindex is confined to
-  /// the withdraw/maintenance path; searches never remove. While version
-  /// retention is armed (DESIGN.md §11) the pointer is tombstoned in
-  /// place instead of erased — bucket indices stay stable for readers
-  /// pinned at an older epoch — and gc() compacts it out at the epoch
-  /// boundary, restoring the exact layout a sequential erase leaves.
+  /// Removes the first live pointer for `item` in publication order (if
+  /// present); item ids may repeat on republish. While version retention
+  /// is armed (DESIGN.md §11) the pointer is tombstoned in place — it
+  /// stays in its buckets for readers pinned at an older epoch — and
+  /// gc() unlinks it at the epoch boundary. Otherwise it is unlinked
+  /// right away.
   bool remove(vsm::ItemId item) {
-    for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (pointers_[i].item != item) continue;
-      if (stamps_[i].removed != vsm::kEpochNever) continue;  // tombstone
-      if (retain_) {
-        stamps_[i].removed = write_epoch_;
-        ++tombstones_;
-      } else {
-        pointers_.erase(pointers_.begin() + static_cast<std::ptrdiff_t>(i));
-        stamps_.erase(stamps_.begin() + static_cast<std::ptrdiff_t>(i));
-        reindex();
-      }
-      return true;
+    const auto it = first_live_.find(item);
+    if (it == first_live_.end()) return false;
+    const std::size_t slot = it->second;
+    if (next_live_[slot] == kNoSlot) {
+      first_live_.erase(it);
+    } else {
+      it->second = next_live_[slot];
+      next_live_[slot] = kNoSlot;
     }
-    return false;
+    if (retain_) {
+      stamps_[slot].removed = write_epoch_;
+      tombstoned_.push_back(slot);
+    } else {
+      unlink(slot);
+      compact_if_sparse();
+    }
+    return true;
   }
 
+  /// The slot array `candidates()` indexes into. Unlinked slots (holes)
+  /// are never returned by `candidates()` and carry no keywords.
   [[nodiscard]] const std::vector<DirectoryPointer>& all() const noexcept {
     return pointers_;
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::size_t size() const noexcept {
-    return pointers_.size() - tombstones_;
+    return pointers_.size() - holes_ - tombstoned_.size();
   }
 
   /// Is pointers_[index] part of the epoch-`at` view? kEpochLatest means
-  /// "not tombstoned" — which is every pointer while retention is off.
+  /// "not tombstoned" — which is every linked pointer while retention is
+  /// off.
   [[nodiscard]] bool visible_at(std::size_t index,
                                 vsm::Epoch at) const noexcept {
     const Stamp& s = stamps_[index];
@@ -99,30 +112,20 @@ class DirectoryStore {
   void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
   void retain_versions(bool on) noexcept { retain_ = on; }
 
-  /// Compacts tombstones out. The survivors keep their relative order, so
-  /// the post-gc layout is exactly what sequential one-at-a-time erases
-  /// would have produced.
+  /// Unlinks this epoch's tombstones from their buckets. Survivors keep
+  /// their slots, so every bucket lists the same pointers in the same
+  /// order as after sequential one-at-a-time removals.
   void gc() {
-    if (tombstones_ == 0) return;
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (stamps_[i].removed != vsm::kEpochNever) continue;
-      if (w != i) {
-        pointers_[w] = std::move(pointers_[i]);
-        stamps_[w] = stamps_[i];
-      }
-      ++w;
-    }
-    pointers_.resize(w);
-    stamps_.resize(w);
-    tombstones_ = 0;
-    reindex();
+    if (tombstoned_.empty()) return;
+    for (const std::size_t slot : tombstoned_) unlink(slot);
+    tombstoned_.clear();
+    compact_if_sparse();
   }
 
-  /// Indices (in publication order) of pointers whose keyword list
-  /// contains `keyword`; empty when no pointer on this node carries it —
-  /// the common case, since pointers for a keyword cluster near the raw
-  /// keys of the vectors containing it.
+  /// Slots (in publication order) of pointers whose keyword list contains
+  /// `keyword`; empty when no pointer on this node carries it — the
+  /// common case, since pointers for a keyword cluster near the raw keys
+  /// of the vectors containing it.
   [[nodiscard]] std::span<const std::size_t> candidates(
       vsm::KeywordId keyword) const {
     const auto it = by_keyword_.find(keyword);
@@ -130,12 +133,12 @@ class DirectoryStore {
     return it->second;
   }
 
-  /// Moves every live pointer out (handing off to surviving nodes on
-  /// depart), leaving the store empty. Tombstoned pointers are dropped:
-  /// their items were withdrawn this epoch, and the depart fence
-  /// guarantees no reader still pins the epoch that could see them.
+  /// Moves every live pointer out in publication order (handing off to
+  /// surviving nodes on depart), leaving the store empty. Tombstoned
+  /// pointers are dropped: their items were withdrawn this epoch, and the
+  /// depart fence guarantees no reader still pins the epoch that could
+  /// see them.
   [[nodiscard]] std::vector<DirectoryPointer> take_all() {
-    by_keyword_.clear();
     std::vector<DirectoryPointer> out;
     out.reserve(size());
     for (std::size_t i = 0; i < pointers_.size(); ++i) {
@@ -145,29 +148,95 @@ class DirectoryStore {
     }
     pointers_.clear();
     stamps_.clear();
-    tombstones_ = 0;
+    next_live_.clear();
+    by_keyword_.clear();
+    first_live_.clear();
+    tombstoned_.clear();
+    holes_ = 0;
     return out;
   }
 
  private:
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  /// `Stamp::added` of an unlinked slot.
+  static constexpr vsm::Epoch kHole = vsm::kEpochNever;
+
   struct Stamp {
     vsm::Epoch added = 0;
     vsm::Epoch removed = vsm::kEpochNever;
   };
 
-  void reindex() {
-    by_keyword_.clear();
-    for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      for (const vsm::KeywordId kw : pointers_[i].keywords) {
-        by_keyword_[kw].push_back(i);
-      }
-    }
+  /// Appends `slot` to the publication-ordered chain of `item`'s live
+  /// slots (duplicates are rare, so the walk to the tail is short).
+  void link_live(vsm::ItemId item, std::size_t slot) {
+    next_live_.push_back(kNoSlot);
+    const auto [it, fresh] = first_live_.try_emplace(item, slot);
+    if (fresh) return;
+    std::size_t tail = it->second;
+    while (next_live_[tail] != kNoSlot) tail = next_live_[tail];
+    next_live_[tail] = slot;
   }
 
-  std::vector<DirectoryPointer> pointers_;
-  std::vector<Stamp> stamps_;  ///< parallel to pointers_
+  /// Takes `slot` out of the buckets of its keywords and frees them; the
+  /// slot stays behind as a hole.
+  void unlink(std::size_t slot) {
+    DirectoryPointer& pointer = pointers_[slot];
+    for (const vsm::KeywordId kw : pointer.keywords) {
+      const auto it = by_keyword_.find(kw);
+      std::vector<std::size_t>& bucket = it->second;
+      bucket.erase(std::lower_bound(bucket.begin(), bucket.end(), slot));
+      if (bucket.empty()) by_keyword_.erase(it);
+    }
+    std::vector<vsm::KeywordId>().swap(pointer.keywords);
+    stamps_[slot] = Stamp{kHole, 0};  // visible at no epoch
+    ++holes_;
+  }
+
+  /// Squeezes the holes out once they outnumber the other slots, so the
+  /// O(slots + bucket entries) pass is paid for by at least as many
+  /// removals. The renumbering is monotone, so buckets, chains and the
+  /// tombstone list keep their order.
+  void compact_if_sparse() {
+    if (holes_ <= pointers_.size() - holes_) return;
+    std::vector<std::size_t> remap(pointers_.size(), kNoSlot);
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < pointers_.size(); ++i) {
+      if (stamps_[i].added == kHole) continue;
+      remap[i] = w;
+      if (w != i) {
+        pointers_[w] = std::move(pointers_[i]);
+        stamps_[w] = stamps_[i];
+        next_live_[w] = next_live_[i];
+      }
+      ++w;
+    }
+    pointers_.resize(w);
+    stamps_.resize(w);
+    next_live_.resize(w);
+    holes_ = 0;
+    for (std::size_t& next : next_live_) {
+      if (next != kNoSlot) next = remap[next];
+    }
+    for (std::size_t& slot : tombstoned_) slot = remap[slot];
+    // meteo-lint: order-insensitive(per-entry monotone remap)
+    for (auto& [kw, bucket] : by_keyword_) {
+      for (std::size_t& slot : bucket) slot = remap[slot];
+    }
+    // meteo-lint: order-insensitive(per-entry monotone remap)
+    for (auto& [item, head] : first_live_) head = remap[head];
+  }
+
+  std::vector<DirectoryPointer> pointers_;  ///< slots, publication order
+  std::vector<Stamp> stamps_;               ///< parallel to pointers_
+  /// Parallel to pointers_: the next live slot of the same item, so
+  /// `first_live_` plus these links list each item's live slots in order.
+  std::vector<std::size_t> next_live_;
   std::unordered_map<vsm::KeywordId, std::vector<std::size_t>> by_keyword_;
-  std::size_t tombstones_ = 0;
+  /// Item -> its first live (linked, not tombstoned) slot.
+  std::unordered_map<vsm::ItemId, std::size_t> first_live_;
+  /// Slots tombstoned under retention, still linked, awaiting gc().
+  std::vector<std::size_t> tombstoned_;
+  std::size_t holes_ = 0;
   vsm::Epoch write_epoch_ = 0;
   bool retain_ = false;
 };
