@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "meteorograph/batch.hpp"
 #include "obs/export.hpp"
 #include "sim/fault_plan.hpp"
 #include "workload/trace.hpp"
@@ -343,6 +345,110 @@ TEST(EpochOracle, EpochMetricsTrackSeals) {
   const std::string csv = obs::metrics_to_csv(sys.metrics());
   EXPECT_NE(csv.find("counter,epoch.advances,,value,2"), std::string::npos);
   EXPECT_NE(csv.find("gauge,epoch.current,,value,2"), std::string::npos);
+}
+
+
+// --- pinned fingerprints -----------------------------------------------------
+// The oracles above compare one worker against N workers of the *same*
+// code. These fingerprints pin the transcripts themselves, captured
+// before BatchEngine and EpochEngine were merged into one window
+// executor, so they prove the merge changed no result, span, or metric.
+// If one ever changes on purpose, document the behavior change and paste
+// the new value from the failure message — never re-capture silently.
+
+/// FNV-1a over the transcript bytes.
+std::uint64_t fingerprint(const std::string& transcript) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : transcript) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// BatchEngine over a churned, lossy, traced system: one homogeneous
+/// batch of each kind — publish, retrieve, locate, search, range search,
+/// withdraw, depart — then the Chrome trace and the CSV metric dump.
+std::string run_batches(const TestWorkload& wl, double drop_rate) {
+  Meteorograph sys(small_config(), wl.sample, 32);
+  for (vsm::ItemId id = 0; id < kInitialItems; ++id) {
+    EXPECT_TRUE(sys.publish(id, wl.vectors[id]).success);
+  }
+  const AttributeId attr = sys.register_attribute(0.0, 200.0);
+  for (vsm::ItemId id = 0; id < kInitialItems; id += 3) {
+    sys.publish_attribute(id, attr, static_cast<double>(id));
+  }
+
+  obs::TraceLog log;
+  EXPECT_TRUE(sys.set_tracer(&log));
+  sim::FaultPlan plan(sim::FaultPlanConfig{.drop_rate = drop_rate}, 98);
+  EXPECT_TRUE(sys.set_fault_hook(&plan));
+  BatchEngine engine(sys, {.workers = 4, .seed = 17});
+
+  std::vector<PublishOp> publishes;
+  for (vsm::ItemId id = kInitialItems; id < kInitialItems + 12; ++id) {
+    publishes.push_back(PublishOp{id, &wl.vectors[id], {}});
+  }
+  std::vector<RetrieveOp> retrieves;
+  std::vector<LocateOp> locates;
+  std::vector<SearchOp> searches;
+  for (std::size_t i = 0; i < kInitialItems + 12; i += 5) {
+    retrieves.push_back(RetrieveOp{&wl.vectors[i], 5, {}});
+    locates.push_back(LocateOp{i, &wl.vectors[i], {}});
+    searches.push_back(SearchOp{{&wl.vectors[i].entries()[0].keyword, 1},
+                                4,
+                                {}});
+  }
+  std::vector<RangeSearchOp> ranges;
+  for (int k = 0; k < 6; ++k) {
+    ranges.push_back(RangeSearchOp{attr, k * 15.0, k * 15.0 + 40.0, {}});
+  }
+  std::vector<WithdrawOp> withdraws;
+  for (vsm::ItemId id = 0; id < 30; id += 4) {
+    withdraws.push_back(WithdrawOp{id, &wl.vectors[id], {}});
+  }
+  const std::vector<overlay::NodeId> departs = {5, 16, 27};
+
+  std::string out;
+  const auto emit = [&out](const auto& results) {
+    for (const auto& r : results) {
+      append(out, r);
+      out += '\n';
+    }
+  };
+  emit(engine.publish(publishes));
+  emit(engine.retrieve(retrieves));
+  emit(engine.locate(locates));
+  emit(engine.similarity_search(searches));
+  emit(engine.range_search(ranges));
+  emit(engine.withdraw(withdraws));
+  emit(engine.depart(departs));
+  emit(engine.retrieve(retrieves));
+  out += obs::trace_to_chrome_json(log);
+  out += obs::metrics_to_csv(sys.metrics());
+  return out;
+}
+
+// Captured from the two-engine revision (separate batch.cpp and
+// epoch.cpp executors) — see the comment above before touching these.
+constexpr std::uint64_t kMixedGolden = 17467727105200733777ULL;
+constexpr std::uint64_t kMixedDropsGolden = 5285784884515168116ULL;
+constexpr std::uint64_t kBatchDropsGolden = 3519345148326067781ULL;
+
+TEST(EngineFingerprint, EpochMixedSchedule) {
+  const TestWorkload wl = make_workload(160, 41);
+  EXPECT_EQ(fingerprint(run_mixed(wl, {.workers = 4})), kMixedGolden);
+}
+
+TEST(EngineFingerprint, EpochMixedScheduleUnderDrops) {
+  const TestWorkload wl = make_workload(160, 42);
+  EXPECT_EQ(fingerprint(run_mixed(wl, {.workers = 4, .drop_rate = 0.05})),
+            kMixedDropsGolden);
+}
+
+TEST(EngineFingerprint, BatchTranscriptUnderDrops) {
+  const TestWorkload wl = make_workload(160, 47);
+  EXPECT_EQ(fingerprint(run_batches(wl, 0.05)), kBatchDropsGolden);
 }
 
 }  // namespace
