@@ -1,32 +1,13 @@
 #pragma once
 
 /// \file batch.hpp
-/// Deterministic parallel batch execution over a Meteorograph system.
+/// Homogeneous op batches over a Meteorograph system.
 ///
-/// A BatchEngine runs one *homogeneous* vector of operations at a time.
-/// Read-only batches (retrieve, locate, similarity_search, range_search)
-/// execute concurrently on a thread pool, each op reading the stores at
-/// the current epoch via the versioned ReadView the op cores thread
-/// through (DESIGN.md §11) — nothing mutates between the batch's
-/// begin_batch() bracket and its last fold, so the view is stable.
-/// Mutating batches (publish, withdraw, depart) split into a parallel
-/// plan phase where possible and always commit sequentially in op-index
-/// order. Every operation draws from its own splitmix64 RNG substream
-/// keyed by (batch seed, op index), and — when the attached fault hook
-/// supports per-operation fate scopes — its own message-fault substream,
-/// so results, system state, and metrics are bit-identical at any worker
-/// count (DESIGN.md §7).
-///
-/// For *mixed* read/write windows — reads running concurrently while
-/// publishes, withdrawals, and departures commit in the same window —
-/// use the EpochEngine (meteorograph/epoch.hpp): it gives every read a
-/// pinned epoch-E snapshot of the stores while writes commit into E+1
-/// (DESIGN.md §11). BatchEngine remains the lighter tool when the
-/// workload arrives pre-sorted by kind; both engines share the substream
-/// and fold disciplines, and at one op kind per window they agree.
-///
-/// Op structs borrow their vectors (non-owning pointers/spans): the caller
-/// keeps the workload alive for the duration of the batch call.
+/// A BatchEngine is a thin adapter: each call runs its op vector as one
+/// window of the execution engine's executor (meteorograph/epoch.hpp,
+/// DESIGN.md §11) on the live stores, with op `i` keyed (seed, i), so
+/// results, system state, and metrics are bit-identical at any worker
+/// count. The caller keeps the borrowed workload alive for the call.
 ///
 ///   BatchEngine engine(sys, {.workers = 8, .seed = 42});
 ///   std::vector<LocateOp> ops = ...;
@@ -34,53 +15,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
+#include <variant>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "common/thread_pool.hpp"
-#include "meteorograph/meteorograph.hpp"
+#include "meteorograph/epoch.hpp"
 
 namespace meteo::core {
-
-struct RetrieveOp {
-  const vsm::SparseVector* query = nullptr;
-  std::size_t amount = 1;
-  RetrieveOptions options;
-};
-
-struct LocateOp {
-  vsm::ItemId item = 0;
-  const vsm::SparseVector* vector = nullptr;
-  LocateOptions options;
-};
-
-struct SearchOp {
-  // meteo-lint: borrow_ok(op structs borrow from the caller-owned workload, which outlives the batch run by contract)
-  std::span<const vsm::KeywordId> keywords;
-  std::size_t k = 0;  ///< 0 = discover all matching items
-  SearchOptions options;
-};
-
-struct RangeSearchOp {
-  AttributeId attribute = 0;
-  double lo = 0.0;
-  double hi = 0.0;
-  RangeSearchOptions options;
-};
-
-struct PublishOp {
-  vsm::ItemId id = 0;
-  const vsm::SparseVector* vector = nullptr;
-  PublishOptions options;
-};
-
-struct WithdrawOp {
-  vsm::ItemId item = 0;
-  const vsm::SparseVector* vector = nullptr;
-  WithdrawOptions options;
-};
 
 struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(). The engine
@@ -95,59 +37,63 @@ class BatchEngine {
  public:
   /// Binds to `system` for the engine's lifetime (non-owning). The pool is
   /// created once here, not per batch.
-  explicit BatchEngine(Meteorograph& system, BatchOptions options = {});
+  explicit BatchEngine(Meteorograph& system, BatchOptions options = {})
+      : executor_(system, options.workers, options.seed) {}
 
   // Read-only batches: parallel, results in op order.
-  std::vector<RetrieveResult> retrieve(std::span<const RetrieveOp> ops);
-  std::vector<LocateResult> locate(std::span<const LocateOp> ops);
-  std::vector<SearchResult> similarity_search(std::span<const SearchOp> ops);
+  std::vector<RetrieveResult> retrieve(std::span<const RetrieveOp> ops) {
+    return run<RetrieveResult>(ops);
+  }
+  std::vector<LocateResult> locate(std::span<const LocateOp> ops) {
+    return run<LocateResult>(ops);
+  }
+  std::vector<SearchResult> similarity_search(std::span<const SearchOp> ops) {
+    return run<SearchResult>(ops);
+  }
   std::vector<RangeSearchResult> range_search(
-      std::span<const RangeSearchOp> ops);
+      std::span<const RangeSearchOp> ops) {
+    return run<RangeSearchResult>(ops);
+  }
 
   // Mutating batches: publish plans (routes) in parallel, then commits
   // store/replica/pointer legs sequentially in op-index order; withdraw
   // and depart are sequential throughout (their reads depend on prior
   // ops' writes), still under per-op substreams.
-  std::vector<PublishResult> publish(std::span<const PublishOp> ops);
-  std::vector<WithdrawResult> withdraw(std::span<const WithdrawOp> ops);
-  std::vector<DepartResult> depart(std::span<const overlay::NodeId> nodes);
+  std::vector<PublishResult> publish(std::span<const PublishOp> ops) {
+    return run<PublishResult>(ops);
+  }
+  std::vector<WithdrawResult> withdraw(std::span<const WithdrawOp> ops) {
+    return run<WithdrawResult>(ops);
+  }
+  std::vector<DepartResult> depart(std::span<const overlay::NodeId> nodes) {
+    std::vector<DepartOp> ops;
+    ops.reserve(nodes.size());
+    for (const overlay::NodeId node : nodes) ops.push_back(DepartOp{node});
+    return run<DepartResult, DepartOp>(ops);
+  }
 
   /// Configured worker count after the 0 = hardware default resolved.
   [[nodiscard]] std::size_t worker_count() const noexcept {
-    return options_.workers;
+    return executor_.worker_count();
   }
 
  private:
-  /// Ends the batch bracket on every exit path, including exceptions
-  /// rethrown from pool workers. A member of BatchEngine so Meteorograph's
-  /// friendship covers the private end_batch() call.
-  struct BatchGuard {
-    explicit BatchGuard(Meteorograph& sys) : system(sys) {}
-    ~BatchGuard() { system.end_batch(); }
-    BatchGuard(const BatchGuard&) = delete;
-    BatchGuard& operator=(const BatchGuard&) = delete;
-    Meteorograph& system;
-  };
-
-  /// Independent RNG stream for op `i`: identical regardless of which
-  /// worker runs the op or in what order.
-  [[nodiscard]] Rng substream(std::size_t i) const noexcept {
-    return Rng(splitmix64(options_.seed + 0x9e3779b97f4a7c15ULL * (i + 1)));
-  }
-  /// Fault-fate substream selector for op `i` (distinct from the RNG
-  /// stream so fates and draws never correlate).
-  [[nodiscard]] std::uint64_t scope_salt(std::size_t i) const noexcept {
-    return splitmix64(options_.seed ^ (0xbf58476d1ce4e5b9ULL * (i + 1)));
+  /// Runs `ops` as one window on the live stores, keyed by op index, and
+  /// unpacks its results.
+  template <typename Result, typename Op>
+  std::vector<Result> run(std::span<const Op> ops) {
+    const std::vector<EpochEngine::Op> window(ops.begin(), ops.end());
+    EpochEngine::SealedEpoch sealed =
+        executor_.run(window, 0, vsm::kEpochLatest);
+    std::vector<Result> results;
+    results.reserve(sealed.results.size());
+    for (EpochEngine::OpResult& r : sealed.results) {
+      results.push_back(std::get<Result>(std::move(r)));
+    }
+    return results;
   }
 
-  template <typename Result, typename Op, typename Exec, typename Record>
-  std::vector<Result> run_read_batch(std::span<const Op> ops,
-                                     std::size_t workers, Exec&& exec,
-                                     Record&& record);
-
-  Meteorograph& system_;
-  BatchOptions options_;
-  std::optional<ThreadPool> pool_;  // engaged only when workers > 1
+  EpochEngine::Executor executor_;
 };
 
 }  // namespace meteo::core

@@ -1,31 +1,26 @@
 #pragma once
 
 /// \file epoch.hpp
-/// Epoch-based MVCC snapshot execution over a Meteorograph system
-/// (DESIGN.md §11).
+/// The execution engine over a Meteorograph system (DESIGN.md §11).
 ///
-/// An EpochEngine accepts a mixed stream of operations through submit_*()
-/// and executes the accumulated window on seal(). Within one epoch E:
+/// Every bulk operation runs through one window executor,
+/// EpochEngine::Executor. A window is a vector of ops of any kinds, run
+/// in four phases: (1) one parallel pass over the non-deferred reads and
+/// the plans (source selection + routes) of the publishes ahead of the
+/// first depart — both read only membership, which only a depart
+/// changes; (2) a sequential write spine that commits publishes,
+/// withdrawals, and departures in submission order; (3) the reads
+/// deferred past the spine; (4) a fold of read metrics and spans in
+/// submission order (writes fold at their commits). Each op draws from
+/// its own RNG and message-fault substreams, so results, traces, and
+/// metric exports are bit-identical at any worker count.
 ///
-///   * read operations (retrieve, locate, similarity_search,
-///     range_search) execute against the *pinned* epoch-E view, in
-///     parallel across a thread pool;
-///   * mutating operations (publish, withdraw, depart) commit strictly
-///     sequentially, in submission order, into epoch E+1 — every store
-///     mutation is stamped E+1 and the displaced version is retained so
-///     pinned readers still see it;
-///   * reads may be deferred past the write phase (the `defer_read`
-///     hook): they then execute after the commits yet still observe
-///     exactly epoch E, byte-identically to running before them.
-///
-/// seal() folds metrics and traces in one canonical order — writes in
-/// submission order (inline with their commits), then reads in
-/// submission order — so results, trace dumps, and metric exports are
-/// bit-identical at any worker count, with or without deferral. The
-/// sequential-replay oracle is simply `workers = 1`.
-///
-/// Like BatchEngine, op structs borrow their vectors; the caller keeps
-/// the workload alive until the seal() that executes it returns.
+/// An EpochEngine collects a mixed window through submit() and runs it
+/// on seal() as epoch E: reads pin E, writes commit into E+1, and each
+/// op's substream key is its global submission index. A BatchEngine
+/// (meteorograph/batch.hpp) runs one homogeneous vector on the live
+/// stores, keyed by op index. Op structs borrow their vectors: the
+/// caller keeps the workload alive until the executing call returns.
 ///
 ///   EpochEngine engine(sys, {.workers = 8, .seed = 42});
 ///   engine.submit(RetrieveOp{...});
@@ -36,37 +31,77 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "meteorograph/batch.hpp"
 #include "meteorograph/meteorograph.hpp"
 
 namespace meteo::core {
 
-/// Graceful departure of `node`, as a submittable op (the epoch window
-/// mixes departures between publishes and reads; BatchEngine's depart()
-/// takes a bare node span instead).
+struct RetrieveOp {
+  const vsm::SparseVector* query = nullptr;
+  std::size_t amount = 1;
+  RetrieveOptions options;
+};
+
+struct LocateOp {
+  vsm::ItemId item = 0;
+  const vsm::SparseVector* vector = nullptr;
+  LocateOptions options;
+};
+
+struct SearchOp {
+  // meteo-lint: borrow_ok(op structs borrow from the caller-owned workload, which outlives the window run by contract)
+  std::span<const vsm::KeywordId> keywords;
+  std::size_t k = 0;  ///< 0 = discover all matching items
+  SearchOptions options;
+};
+
+struct RangeSearchOp {
+  AttributeId attribute = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+  RangeSearchOptions options;
+};
+
+struct PublishOp {
+  vsm::ItemId id = 0;
+  const vsm::SparseVector* vector = nullptr;
+  PublishOptions options;
+};
+
+struct WithdrawOp {
+  vsm::ItemId item = 0;
+  const vsm::SparseVector* vector = nullptr;
+  WithdrawOptions options;
+};
+
+/// Graceful departure of `node`, as a submittable op (BatchEngine's
+/// depart() takes a bare node span instead).
 struct DepartOp {
   overlay::NodeId node = overlay::kInvalidNode;
 };
 
 struct EpochOptions {
-  /// Worker threads for the read phases; 0 = hardware_concurrency().
+  /// Worker threads for the parallel phases; 0 = hardware_concurrency().
   std::size_t workers = 0;
   /// Root of every per-operation RNG/fault substream (global op index
   /// keyed: an op keeps its streams no matter how epochs are cut).
   std::uint64_t seed = 0x6d657465'6f726f67ULL;
   /// Interleaving seam: return true to defer the read with this global
-  /// op index past the epoch's write phase (it still observes epoch E).
+  /// op index past the epoch's write spine (it still observes epoch E).
   /// Null defers nothing. Mutating ops ignore it.
   std::function<bool(std::size_t)> defer_read;
 };
 
 class EpochEngine {
  public:
+  /// Any operation; alternatives before PublishOp are reads.
+  using Op = std::variant<RetrieveOp, LocateOp, SearchOp, RangeSearchOp,
+                          PublishOp, WithdrawOp, DepartOp>;
   using OpResult =
       std::variant<RetrieveResult, LocateResult, SearchResult,
                    RangeSearchResult, PublishResult, WithdrawResult,
@@ -81,6 +116,49 @@ class EpochEngine {
     /// legs; a publish counts its plan route — commit legs fold straight
     /// into the metric registry). The server's deadline budget input.
     std::vector<double> timeout_costs;
+  };
+
+  /// The one window executor (see the file comment). Nested so that
+  /// Meteorograph's friendship covers it; BatchEngine owns one too.
+  class Executor {
+   public:
+    /// Binds to `system` (non-owning). `workers` = 0 means
+    /// hardware_concurrency(); the pool is created once here.
+    Executor(Meteorograph& system, std::size_t workers, std::uint64_t seed);
+
+    /// Runs `ops` as one window. Op i draws from substream key
+    /// `first_key + i` (and `defer` sees that key). A `pinned` epoch E
+    /// makes reads observe E and writes commit into E+1, with version
+    /// retention armed for the window and collected at its end; spans
+    /// are stamped E (reads) and E+1 (writes). kEpochLatest runs on the
+    /// live stores without retention and stamps spans 0.
+    SealedEpoch run(std::span<const Op> ops, std::uint64_t first_key,
+                    vsm::Epoch pinned,
+                    const std::function<bool(std::size_t)>& defer = {});
+
+    /// Worker count after the 0 = hardware default resolved.
+    [[nodiscard]] std::size_t worker_count() const noexcept {
+      return workers_;
+    }
+
+   private:
+    struct Bracket;
+
+    /// Independent RNG stream for substream key `key`: identical
+    /// regardless of which worker runs the op or in what order.
+    [[nodiscard]] Rng substream(std::uint64_t key) const noexcept {
+      return Rng(splitmix64(seed_ + 0x9e3779b97f4a7c15ULL * (key + 1)));
+    }
+    /// Fault-fate substream selector for `key` (distinct from the RNG
+    /// stream so fates and draws never correlate).
+    [[nodiscard]] std::uint64_t scope_salt(std::uint64_t key) const noexcept {
+      return splitmix64(seed_ ^ (0xbf58476d1ce4e5b9ULL * (key + 1)));
+    }
+
+    Meteorograph& system_;
+    std::size_t workers_;
+    std::uint64_t seed_;
+    std::optional<ThreadPool> pool_;  // engaged only when workers > 1
   };
 
   /// Binds to `system` for the engine's lifetime (non-owning); each
@@ -121,55 +199,19 @@ class EpochEngine {
 
   /// Configured worker count after the 0 = hardware default resolved.
   [[nodiscard]] std::size_t worker_count() const noexcept {
-    return options_.workers;
+    return executor_.worker_count();
   }
 
  private:
-  using AnyOp = std::variant<RetrieveOp, LocateOp, SearchOp, RangeSearchOp,
-                             PublishOp, WithdrawOp, DepartOp>;
-
-  struct Pending {
-    AnyOp op;
-    std::uint64_t global_index = 0;  ///< substream key, monotone over epochs
-  };
-
-  /// Ends the batch bracket and clears the write-span epoch stamp on
-  /// every exit path. Nested so Meteorograph's friendship covers the
-  /// private end_batch() call (same trick as BatchEngine::BatchGuard).
-  struct SealGuard {
-    explicit SealGuard(Meteorograph& sys) : system(sys) {}
-    ~SealGuard() {
-      system.span_epoch_ = 0;
-      system.end_batch();
-    }
-    SealGuard(const SealGuard&) = delete;
-    SealGuard& operator=(const SealGuard&) = delete;
-    Meteorograph& system;
-  };
-
-  /// Same substream discipline as BatchEngine, keyed by the op's global
-  /// index so streams never depend on where epoch boundaries fall.
-  [[nodiscard]] Rng substream(std::uint64_t g) const noexcept {
-    return Rng(splitmix64(options_.seed + 0x9e3779b97f4a7c15ULL * (g + 1)));
-  }
-  [[nodiscard]] std::uint64_t scope_salt(std::uint64_t g) const noexcept {
-    return splitmix64(options_.seed ^ (0xbf58476d1ce4e5b9ULL * (g + 1)));
-  }
-
-  std::size_t push(AnyOp op);
-
-  /// Arms every node store: retain versions, stamp mutations `write`.
-  void arm_stores(vsm::Epoch write);
-  /// Drops retired versions on every node store (epoch boundary).
-  void gc_stores();
-  /// Disarms retention everywhere (destructor path).
-  void disarm_stores();
+  std::size_t push(Op op);
 
   Meteorograph& system_;
-  EpochOptions options_;
-  std::optional<ThreadPool> pool_;  // engaged only when workers > 1
-  std::vector<Pending> pending_;
+  Executor executor_;
+  std::function<bool(std::size_t)> defer_read_;
+  std::vector<Op> pending_;
   vsm::Epoch epoch_ = 0;
+  /// Global index of the next submitted op; the pending window holds
+  /// the indexes just below it.
   std::uint64_t next_global_ = 0;
   std::optional<obs::Gauge> epoch_gauge_;
   std::optional<obs::Counter> epoch_advances_;

@@ -25,10 +25,11 @@
 ///   auto s = sys.similarity_search(keywords, 10);  // §3.5 two-phase
 ///   auto l = sys.locate(id, vector, {.walk_limit = 16});
 ///
-/// Batched execution (DESIGN.md §7): wrap the system in a
+/// Batched execution (DESIGN.md §11): wrap the system in a
 /// core::BatchEngine (meteorograph/batch.hpp) to run whole vectors of
 /// operations across a thread pool with bit-identical results at any
-/// worker count:
+/// worker count, or in a core::EpochEngine (meteorograph/epoch.hpp) to
+/// run mixed read/write windows:
 ///
 ///   BatchEngine engine(sys, {.workers = 8});
 ///   auto results = engine.retrieve(ops);  // ops: span<const RetrieveOp>
@@ -276,7 +277,7 @@ class Meteorograph {
   /// overlay. Every routed message then passes through it; crashes it
   /// schedules are applied to the membership at the next operation
   /// boundary. Non-owning; nullptr detaches. Returns false — leaving the
-  /// current hook untouched — while a BatchEngine batch is in flight:
+  /// current hook untouched — while an engine window is in flight:
   /// swapping fault fates mid-stream would make in-flight operations
   /// depend on worker timing.
   bool set_fault_hook(overlay::FaultHook* hook) noexcept {
@@ -285,7 +286,9 @@ class Meteorograph {
     return true;
   }
 
-  /// True between BatchEngine::*() entry and exit.
+  /// True while an engine window executes: from the bracket's open at
+  /// the start of a BatchEngine call or an EpochEngine::seal() to its
+  /// close on return (or on an exception).
   [[nodiscard]] bool batch_in_flight() const noexcept {
     return batch_in_flight_;
   }
@@ -336,7 +339,6 @@ class Meteorograph {
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
  private:
-  friend class BatchEngine;
   friend class EpochEngine;
 
   struct NodeData {
@@ -400,7 +402,7 @@ class Meteorograph {
   obs::Histogram& op_naming_keys(obs::OpKind op);
 
   /// Per-operation hop accounting captured by the const op cores. The
-  /// batch engine holds one OpTrace per operation (a private shard — no
+  /// window executor holds one OpTrace per operation (a private shard — no
   /// locking) and folds them into the metric registry in op-index order,
   /// which keeps metric accumulation deterministic. The span recorder
   /// rides along: events are buffered here per op and committed to the
@@ -461,9 +463,10 @@ class Meteorograph {
   void record_search(const SearchResult& r, OpTrace& trace);
   void record_range_search(const RangeSearchResult& r, OpTrace& trace);
 
-  // Mutating split for batched publish: plan in parallel (const), commit
-  // sequentially in op-index order. The plan is mutable in commit: its
-  // span accumulates the commit legs' events and is finished there.
+  // Mutating split for windowed publish: plan in parallel (const),
+  // commit sequentially in submission order. The plan is mutable in
+  // commit: its span accumulates the commit legs' events and is finished
+  // there.
   PublishPlan plan_publish(const vsm::SparseVector& vector,
                            const PublishOptions& options, Rng& rng) const;
   /// Fig. 2 step 3: store `entry` at `start`, overflow-chaining through
@@ -479,9 +482,10 @@ class Meteorograph {
   WithdrawResult withdraw_with(vsm::ItemId id, const vsm::SparseVector& vector,
                                const WithdrawOptions& options, Rng& rng);
 
-  /// Batch bracket used by BatchEngine: begin applies due crashes once for
-  /// the whole batch and freezes the membership snapshot; set_fault_hook
-  /// is rejected in between. \pre no batch already in flight
+  /// Window bracket used by the engines' executor: begin applies due
+  /// crashes once for the whole window and freezes the membership
+  /// snapshot; set_fault_hook is rejected in between.
+  /// \pre no window already in flight
   void begin_batch();
   void end_batch() noexcept { batch_in_flight_ = false; }
 
@@ -515,9 +519,10 @@ class Meteorograph {
   /// Span/event sink; nullptr = tracing off (the default).
   obs::TraceLog* tracer_ = nullptr;
   /// Epoch stamped onto spans of mutating ops whose recorders finish
-  /// inside the commit path (publish, withdraw, depart). The EpochEngine
-  /// sets it to the commit epoch around its write phase; the facade
-  /// leaves it 0, so standalone spans keep the default stamp.
+  /// inside the commit path (publish, withdraw, depart). The window
+  /// executor sets it to the commit epoch around an EpochEngine write
+  /// spine; the facade and BatchEngine leave it 0, so their spans keep
+  /// the default stamp.
   std::uint64_t span_epoch_ = 0;
   bool batch_in_flight_ = false;
   SubscriptionId next_subscription_ = 1;

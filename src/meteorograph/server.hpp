@@ -60,8 +60,7 @@ class Server {
   using Ticket = std::uint64_t;
 
   /// Any submittable operation (the epoch window mixes all kinds).
-  using Request = std::variant<RetrieveOp, LocateOp, SearchOp, RangeSearchOp,
-                               PublishOp, WithdrawOp, DepartOp>;
+  using Request = EpochEngine::Op;
 
   struct Completion {
     Ticket ticket = 0;

@@ -5,10 +5,10 @@
 ///
 /// All instrumentation sites reference these constants instead of string
 /// literals, which makes the schema greppable and lets CI enforce the
-/// documentation contract: tools/check_observability_docs.sh extracts
-/// every quoted string from this header and fails if any of them is
-/// missing from docs/OBSERVABILITY.md. Add a metric here, document it
-/// there — or tier-1 fails.
+/// documentation contract: tools/check_docs.sh extracts every quoted
+/// string from this header and fails if any of them is missing from
+/// docs/OBSERVABILITY.md. Add a metric here, document it there — or
+/// tier-1 fails.
 
 namespace meteo::obs::names {
 

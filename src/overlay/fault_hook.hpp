@@ -82,13 +82,13 @@ class FaultHook {
   /// scheduled crash is returned exactly once.
   virtual std::vector<NodeId> take_due_crashes() { return {}; }
 
-  // --- batched execution (DESIGN.md §7) --------------------------------------
-  /// A hook that supports per-operation fate scopes lets the batch engine
-  /// run operations concurrently: inside a scope, fates come from a
-  /// substream keyed by (scope salt, in-scope message index) on the
-  /// calling thread instead of any hook-global counter, so an operation's
-  /// fates are independent of how workers interleave. Hooks that return
-  /// false are driven single-threaded by the engine instead.
+  // --- batched execution (DESIGN.md §11) -------------------------------------
+  /// A hook that supports per-operation fate scopes lets the engines'
+  /// window executor run operations concurrently: inside a scope, fates
+  /// come from a substream keyed by (scope salt, in-scope message index)
+  /// on the calling thread instead of any hook-global counter, so an
+  /// operation's fates are independent of how workers interleave. Hooks
+  /// that return false are driven single-threaded by the executor.
   [[nodiscard]] virtual bool supports_op_scopes() const { return false; }
 
   /// Enters a per-operation fate scope on the calling thread. `salt`

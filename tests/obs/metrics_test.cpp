@@ -105,10 +105,9 @@ TEST(Registry, GaugeOverwrites) {
   EXPECT_DOUBLE_EQ(registry.gauge_value("system.alive_nodes"), 97.0);
 }
 
-// Regression test for the sim::MetricRegistry footgun this registry
-// supersedes: its reset() cleared the maps, so handles held across
-// repetitions dangled. Here reset() zeroes cells in place and every
-// handle stays usable.
+// Regression test for the footgun of a reset() that clears the maps:
+// handles held across repetitions would dangle. Here reset() zeroes
+// cells in place and every handle stays usable.
 TEST(Registry, HandlesSurviveReset) {
   MetricRegistry registry;
   Counter counter = registry.counter("fault.retries");

@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Documentation-coherence gate (companion to check_observability_docs.sh,
-# which walks the opposite direction for the metrics schema). Four checks:
+# Documentation-coherence gate. Five checks:
 #
 #   1. Every BENCH_*.json artifact named in docs/ or README.md has a
 #      committed baseline under tools/baselines/.
@@ -10,10 +9,13 @@
 #      is documented in DESIGN.md's rule catalog.
 #   3. Every dotted series token in docs/OBSERVABILITY.md names a real
 #      metric/label string in src/obs/names.hpp (stale-doc direction;
-#      the code->doc direction lives in check_observability_docs.sh).
+#      check 5 walks code->doc).
 #   4. Every METEO_ZONE("...") literal in src/ is documented in
 #      docs/PERFORMANCE.md, and every dotted token PERFORMANCE.md
 #      mentions is either a live zone or a live metric name.
+#   5. Every quoted string in src/obs/names.hpp (metric names, label
+#      keys, and the label values listed in its comments) appears in
+#      docs/OBSERVABILITY.md, so a metric cannot land undocumented.
 #
 # Run from anywhere; tier-1 (tools/run_tier1.sh) fails on any drift.
 set -euo pipefail
@@ -104,10 +106,22 @@ for t in "${perf_tokens[@]}"; do
   fi
 done
 
+# --- 5. names.hpp strings documented in OBSERVABILITY.md --------------------
+mapfile -t names < <(grep -o '"[^"]\+"' src/obs/names.hpp | tr -d '"' | sort -u)
+if [[ ${#names[@]} -eq 0 ]]; then
+  problem "extracted no names from src/obs/names.hpp (pattern drift?)"
+fi
+for name in "${names[@]}"; do
+  if ! grep -qF -- "${name}" docs/OBSERVABILITY.md; then
+    problem "'${name}' (src/obs/names.hpp) is not documented in" \
+            "docs/OBSERVABILITY.md"
+  fi
+done
+
 if [[ ${fail} -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
 echo "check_docs: ok (${#bench_names[@]} benchmark artifacts," \
      "${#rule_ids[@]} lint rules, ${#obs_tokens[@]} series tokens," \
-     "${#zones[@]} zones)"
+     "${#zones[@]} zones, ${#names[@]} names.hpp strings)"
