@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "meteorograph/batch.hpp"
 #include "obs/export.hpp"
 #include "sim/fault_plan.hpp"
@@ -162,10 +163,34 @@ void append_sealed(std::string& out, const EpochEngine::SealedEpoch& sealed) {
 
 constexpr std::size_t kInitialItems = 100;
 
+/// A fault hook without op scopes: it drops about one message in twenty,
+/// chosen by the message's position in its one shared stream, so every
+/// fate depends on the order in which the executor sends messages. The
+/// hook logs each decision for the transcript.
+class SharedStreamHook final : public overlay::FaultHook {
+ public:
+  overlay::MessageFate on_message(const overlay::MessageContext& c) override {
+    const bool drop = splitmix64(++sent_) % 20 == 0;
+    log_ += std::to_string(c.from) + '>' + std::to_string(c.to) + '#' +
+            std::to_string(c.attempt) + (drop ? "x " : " ");
+    return drop ? overlay::MessageFate::kDrop : overlay::MessageFate::kDeliver;
+  }
+  [[nodiscard]] bool is_stalled(overlay::NodeId) const override {
+    return false;
+  }
+  [[nodiscard]] const std::string& log() const noexcept { return log_; }
+
+ private:
+  std::uint64_t sent_ = 0;
+  std::string log_;
+};
+
 struct RunConfig {
   std::size_t workers = 1;
   double drop_rate = 0.0;
   std::function<bool(std::size_t)> defer = {};
+  /// Attach a SharedStreamHook instead of a FaultPlan.
+  bool shared_stream = false;
 };
 
 /// Replays one fixed mixed read/write/churn schedule — three epochs of
@@ -189,6 +214,10 @@ std::string run_mixed(const TestWorkload& wl, const RunConfig& rc) {
   if (rc.drop_rate > 0.0) {
     plan.emplace(sim::FaultPlanConfig{.drop_rate = rc.drop_rate}, 99);
     EXPECT_TRUE(sys.set_fault_hook(&*plan));
+  }
+  SharedStreamHook shared;
+  if (rc.shared_stream) {
+    EXPECT_TRUE(sys.set_fault_hook(&shared));
   }
 
   EpochOptions opts;
@@ -247,6 +276,7 @@ std::string run_mixed(const TestWorkload& wl, const RunConfig& rc) {
 
   out += obs::trace_to_chrome_json(log);
   out += obs::metrics_to_csv(sys.metrics());
+  if (rc.shared_stream) out += shared.log();
   return out;
 }
 
@@ -444,6 +474,22 @@ TEST(EngineFingerprint, EpochMixedScheduleUnderDrops) {
   const TestWorkload wl = make_workload(160, 42);
   EXPECT_EQ(fingerprint(run_mixed(wl, {.workers = 4, .drop_rate = 0.05})),
             kMixedDropsGolden);
+}
+
+// Captured after the window executor was merged. A hook without op
+// scopes makes the executor run the whole window on one thread and draw
+// every fate from the hook's shared stream in its serial order: the
+// pass's reads, then the plans of the publishes ahead of the first
+// depart, then the write spine's commits. The transcript carries the
+// hook's per-message log, so any reordering of those draws changes it.
+constexpr std::uint64_t kMixedSharedStreamGolden = 3629845910060949653ULL;
+
+TEST(EngineFingerprint, EpochMixedScheduleUnderScopelessHook) {
+  const TestWorkload wl = make_workload(160, 48);
+  EXPECT_EQ(fingerprint(run_mixed(wl, {.workers = 1, .shared_stream = true})),
+            kMixedSharedStreamGolden);
+  EXPECT_EQ(fingerprint(run_mixed(wl, {.workers = 4, .shared_stream = true})),
+            kMixedSharedStreamGolden);
 }
 
 TEST(EngineFingerprint, BatchTranscriptUnderDrops) {
