@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/assert.hpp"
 
@@ -61,10 +60,11 @@ void ThreadPool::parallel_for_chunked(
       std::min(total, std::max<std::size_t>(1, thread_count() * 4));
   const std::size_t chunk_size = (total + chunks - 1) / chunks;
 
-  const std::size_t launched = (total + chunk_size - 1) / chunk_size;
-  std::atomic<std::size_t> remaining{launched};
+  // Completion state lives on this frame. Each task counts down under
+  // done_mutex and touches none of it after unlocking, so once the wait
+  // below sees zero no task can still reach it and returning is safe.
+  std::size_t remaining = (total + chunk_size - 1) / chunk_size;
   std::exception_ptr first_error;
-  std::mutex error_mutex;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -72,21 +72,20 @@ void ThreadPool::parallel_for_chunked(
     const std::size_t hi = std::min(lo + chunk_size, end);
     // meteo-lint: borrow_ok(parallel_for_chunked blocks on done_cv below until every job drains)
     submit([&, lo, hi] {
+      std::exception_ptr error;
       try {
         body(lo, hi);
       } catch (...) {
-        const std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard lock(done_mutex);
-        done_cv.notify_one();
-      }
+      const std::lock_guard lock(done_mutex);
+      if (error && !first_error) first_error = error;
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

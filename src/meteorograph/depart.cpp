@@ -71,15 +71,15 @@ DepartResult Meteorograph::depart_node(overlay::NodeId node) {
 
   // Replicas: re-home on the now-closest node holding no copy yet.
   std::vector<overlay::NodeId>& homes = op_scratch().homes;
-  for (auto& [id, slot] : state.replicas) {
-    const overlay::Key key = strategy_->primary_key(slot.vector);
+  for (auto& [id, vector] : state.replicas.take_all()) {
+    const overlay::Key key = strategy_->primary_key(vector);
     overlay_.closest_nodes(key, config_.replicas + 2, homes);
     for (const overlay::NodeId home : homes) {
       if (node_data_[home].items.contains(id) ||
           node_data_[home].replicas.contains(id)) {
         continue;
       }
-      node_data_[home].replicas.emplace(id, std::move(slot.vector));
+      node_data_[home].replicas.emplace(id, std::move(vector));
       ++result.replicas_transferred;
       ++result.messages;
       break;

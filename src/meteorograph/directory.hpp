@@ -60,7 +60,7 @@ class DirectoryStore {
     }
     link_live(pointer.item, slot);
     pointers_.push_back(std::move(pointer));
-    stamps_.push_back(Stamp{write_epoch_, vsm::kEpochNever});
+    stamps_.push_back(vsm::Stamp{write_epoch_});
   }
 
   /// Removes the first live pointer for `item` in publication order (if
@@ -99,14 +99,11 @@ class DirectoryStore {
     return pointers_.size() - holes_ - tombstoned_.size();
   }
 
-  /// Is pointers_[index] part of the epoch-`at` view? kEpochLatest means
-  /// "not tombstoned" — which is every linked pointer while retention is
-  /// off.
+  /// Is pointers_[index] part of the epoch-`at` view? At kEpochLatest
+  /// that is every linked pointer not tombstoned.
   [[nodiscard]] bool visible_at(std::size_t index,
                                 vsm::Epoch at) const noexcept {
-    const Stamp& s = stamps_[index];
-    if (at == vsm::kEpochLatest) return s.removed == vsm::kEpochNever;
-    return s.added <= at && at < s.removed;
+    return stamps_[index].visible_at(at);
   }
 
   void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
@@ -142,7 +139,7 @@ class DirectoryStore {
     std::vector<DirectoryPointer> out;
     out.reserve(size());
     for (std::size_t i = 0; i < pointers_.size(); ++i) {
-      if (stamps_[i].removed == vsm::kEpochNever) {
+      if (stamps_[i].live()) {
         out.push_back(std::move(pointers_[i]));
       }
     }
@@ -160,11 +157,6 @@ class DirectoryStore {
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
   /// `Stamp::added` of an unlinked slot.
   static constexpr vsm::Epoch kHole = vsm::kEpochNever;
-
-  struct Stamp {
-    vsm::Epoch added = 0;
-    vsm::Epoch removed = vsm::kEpochNever;
-  };
 
   /// Appends `slot` to the publication-ordered chain of `item`'s live
   /// slots (duplicates are rare, so the walk to the tail is short).
@@ -188,7 +180,7 @@ class DirectoryStore {
       if (bucket.empty()) by_keyword_.erase(it);
     }
     std::vector<vsm::KeywordId>().swap(pointer.keywords);
-    stamps_[slot] = Stamp{kHole, 0};  // visible at no epoch
+    stamps_[slot] = vsm::Stamp{kHole, 0};  // visible at no epoch
     ++holes_;
   }
 
@@ -227,7 +219,7 @@ class DirectoryStore {
   }
 
   std::vector<DirectoryPointer> pointers_;  ///< slots, publication order
-  std::vector<Stamp> stamps_;               ///< parallel to pointers_
+  std::vector<vsm::Stamp> stamps_;          ///< parallel to pointers_
   /// Parallel to pointers_: the next live slot of the same item, so
   /// `first_live_` plus these links list each item's live slots in order.
   std::vector<std::size_t> next_live_;

@@ -7,7 +7,6 @@
 
 #include "common/assert.hpp"
 #include "obs/names.hpp"
-#include "obs/profile.hpp"
 #include "overlay/fault_hook.hpp"
 
 namespace meteo::core {
@@ -194,7 +193,6 @@ EpochEngine::SealedEpoch EpochEngine::Executor::run(
     out.resume = scope.close();
   };
   auto run_deferred = [&] {
-    METEO_ZONE("exec.deferred");
     run_parallel(deferred.size(),
                  [&](std::size_t k) { exec_read(deferred[k]); });
   };
@@ -202,21 +200,17 @@ EpochEngine::SealedEpoch EpochEngine::Executor::run(
   // Parallel pass — the stores physically ARE the read epoch here, so
   // a pinned view takes the zero-overhead fast path.
   std::vector<Planned> plans(planned.size());
-  {
-    METEO_ZONE("exec.pass");
-    run_parallel(reads.size() + plans.size(), [&](std::size_t k) {
-      if (k < reads.size()) {
-        exec_read(reads[k]);
-      } else {
-        plan_one(planned[k - reads.size()], plans[k - reads.size()]);
-      }
-    });
-  }
+  run_parallel(reads.size() + plans.size(), [&](std::size_t k) {
+    if (k < reads.size()) {
+      exec_read(reads[k]);
+    } else {
+      plan_one(planned[k - reads.size()], plans[k - reads.size()]);
+    }
+  });
 
   // Write spine — mutations strictly in submission order, each under its
   // own substreams. Spans these commits finish carry the write stamp.
   {
-    METEO_ZONE("exec.writes");
     system_.span_epoch_ = write_stamp;
     bool deferred_done = deferred.empty();
     std::size_t next_plan = 0;
@@ -262,7 +256,6 @@ EpochEngine::SealedEpoch EpochEngine::Executor::run(
   // accumulation is float-order-sensitive and spans append to the trace
   // log here, so this order must not depend on workers or deferral.
   {
-    METEO_ZONE("exec.fold");
     for (std::size_t i = 0; i < n; ++i) {
       if (ops[i].index() >= kFirstWriteAlternative) continue;
       traces[i].span.set_epoch(sealed.epoch);

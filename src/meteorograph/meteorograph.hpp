@@ -346,8 +346,8 @@ class Meteorograph {
     /// Ordered by id: retrieve harvests replicas under a result budget
     /// and depart re-homes them, so iteration order is result-visible
     /// (meteo-lint R1 — hash order may not feed results). ReplicaStore
-    /// iterates like the std::map it replaced and adds the epoch-stamped
-    /// view the EpochEngine's pinned readers need (DESIGN.md §11).
+    /// keeps its copies in id order, each stamped for the EpochEngine's
+    /// pinned readers (DESIGN.md §11).
     ReplicaStore replicas;
     DirectoryStore directory;
     /// Range-search records: attribute -> (value -> items), value-sorted.

@@ -8,7 +8,6 @@
 #include "meteorograph/op_scratch.hpp"
 #include "meteorograph/walk.hpp"
 #include "obs/names.hpp"
-#include "obs/profile.hpp"
 
 namespace meteo::core {
 
@@ -24,7 +23,6 @@ RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
   METEO_EXPECTS(!query.empty());
   METEO_EXPECTS(amount > 0);
 
-  METEO_ZONE("op.retrieve");
   OpScratch& scratch = op_scratch();
   scratch.begin_op();
   const AllocProbe::ReadScope read_scope;
@@ -67,16 +65,12 @@ RetrieveResult Meteorograph::retrieve_op(const vsm::SparseVector& query,
   for (std::size_t p = 0; p < probes.size(); ++p) {
     const overlay::Key key = probes[p];
     if (p > 0 && rec != nullptr) rec->set_leg_key(key);
-    const overlay::RouteResult route = [&] {
-      METEO_ZONE("retrieve.route");
-      return overlay_.route(source, key, rec);
-    }();
+    const overlay::RouteResult route = overlay_.route(source, key, rec);
     trace.route += route.stats;
     result.route_hops += route.hops;
     blocked = blocked || route.blocked;
 
     const std::size_t budget = p == 0 ? walk_limit : config_.naming.probe_walk;
-    METEO_ZONE("retrieve.walk");
     NeighborWalk walk(overlay_, route.destination, key, rec);
     std::size_t visited = 0;
     while (true) {
@@ -176,7 +170,6 @@ LocateResult Meteorograph::locate_op(vsm::ItemId id,
                                      OpTrace& trace, ReadView view) const {
   METEO_EXPECTS(!vector.empty());
 
-  METEO_ZONE("op.locate");
   OpScratch& scratch = op_scratch();
   scratch.begin_op();
   const AllocProbe::ReadScope read_scope;
@@ -207,16 +200,12 @@ LocateResult Meteorograph::locate_op(vsm::ItemId id,
   for (std::size_t p = 0; p < probes.size(); ++p) {
     const overlay::Key key = probes[p];
     if (p > 0 && rec != nullptr) rec->set_leg_key(key);
-    const overlay::RouteResult route = [&] {
-      METEO_ZONE("locate.route");
-      return overlay_.route(source, key, rec);
-    }();
+    const overlay::RouteResult route = overlay_.route(source, key, rec);
     trace.route += route.stats;
     result.route_hops += route.hops;
     blocked = blocked || route.blocked;
 
     const std::size_t budget = p == 0 ? walk_limit : config_.naming.probe_walk;
-    METEO_ZONE("locate.walk");
     NeighborWalk walk(overlay_, route.destination, key, rec);
     std::size_t visited = 0;
     while (true) {

@@ -10,7 +10,6 @@
 #include "meteorograph/op_scratch.hpp"
 #include "meteorograph/walk.hpp"
 #include "obs/names.hpp"
-#include "obs/profile.hpp"
 
 namespace meteo::core {
 
@@ -30,7 +29,6 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
                                      OpTrace& trace, ReadView view) const {
   METEO_EXPECTS(!keywords.empty());
 
-  METEO_ZONE("op.search");
   OpScratch& scratch = op_scratch();
   scratch.begin_op();
   const AllocProbe::ReadScope read_scope;
@@ -56,10 +54,7 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
     trace.span.open(obs::OpKind::kSimilaritySearch, source, start_key);
   }
   obs::SpanRecorder* const rec = trace.span.active() ? &trace.span : nullptr;
-  const overlay::RouteResult route = [&] {
-    METEO_ZONE("search.route");
-    return overlay_.route(source, start_key, rec);
-  }();
+  const overlay::RouteResult route = overlay_.route(source, start_key, rec);
   result.route_hops = route.hops;
   overlay::HopStats& fault_stats = trace.route;
   fault_stats = route.stats;
@@ -87,7 +82,6 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
   std::pmr::unordered_map<overlay::NodeId, std::pmr::vector<vsm::ItemId>>
       harvested(&scratch.arena);
   auto harvest = [&](overlay::NodeId node) -> std::span<const vsm::ItemId> {
-    METEO_ZONE("search.harvest");
     const NodeData& data = node_data_[node];
     if (data.items.empty_at(view.epoch)) return {};
     const auto it = harvested.find(node);
@@ -108,7 +102,6 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
   // lookup whose request dies en route is counted as failed instead of
   // silently returning nothing.
   auto chase = [&](overlay::NodeId origin, const DirectoryPointer& pointer) {
-    METEO_ZONE("search.chase");
     if (rec != nullptr) rec->set_leg_key(pointer.item_key);
     const overlay::RouteResult leg =
         overlay_.route(origin, pointer.item_key, rec);
@@ -142,7 +135,6 @@ SearchResult Meteorograph::search_op(std::span<const vsm::KeywordId> keywords,
   const std::size_t walk_limit = config_.max_walk_nodes > 0
                                      ? config_.max_walk_nodes
                                      : overlay_.alive_count();
-  METEO_ZONE("search.walk");
   NeighborWalk walk(overlay_, route.destination, start_key, rec);
   while (true) {
     const overlay::NodeId cur = walk.current();

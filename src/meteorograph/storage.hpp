@@ -16,11 +16,13 @@
 /// key-ordered multimap only carries item ids, never a second copy of
 /// the vectors.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "meteorograph/config.hpp"
@@ -117,7 +119,7 @@ class AngleStore {
 
   void set_write_epoch(vsm::Epoch e) noexcept { index_.set_write_epoch(e); }
   void retain_versions(bool on) noexcept { index_.retain_versions(on); }
-  void gc() noexcept { index_.gc(); }
+  void gc() { index_.gc(); }
 
   [[nodiscard]] bool contains_at(vsm::ItemId id,
                                  vsm::Epoch at) const noexcept {
@@ -160,132 +162,107 @@ class AngleStore {
   mutable std::optional<vsm::LsiModel> lsi_model_;
 };
 
-/// Per-node replica copies (§3.6), id-ordered like the std::map it
-/// replaces, with the same epoch-stamped view discipline as the other
-/// stores (DESIGN.md §11): while retention is armed, erases and
-/// overwrites park the displaced copy in a retired sidecar so a reader
-/// pinned at an older epoch still sees it. With the defaults (retain
-/// off, write epoch 0) behavior and iteration order are identical to
-/// the plain map.
+/// Per-node replica copies (§3.6) in one id-ordered map, versioned like
+/// the other node stores (DESIGN.md §11): every copy carries a Stamp, and
+/// while retention is armed an erase or overwrite only stamps the old
+/// copy's `removed` epoch (a tombstone) and appends the new one after it,
+/// so a reader pinned at an older epoch still finds it; gc() drops the
+/// tombstones. With retention off this is a plain id-ordered map.
 class ReplicaStore {
  public:
-  struct Slot {
-    vsm::SparseVector vector;
-    vsm::Epoch added = 0;
-  };
-
   /// Inserts or overwrites the copy for `id` (std::map::insert_or_assign).
   void insert_or_assign(vsm::ItemId id, const vsm::SparseVector& vector) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) {
-      live_.emplace(id, Slot{vector, write_epoch_});
-      return;
-    }
-    retire(id, it->second);
-    it->second = Slot{vector, write_epoch_};
+    (void)erase(id);
+    copies_.emplace(id, Copy{vector, vsm::Stamp{write_epoch_}});
   }
 
   /// Inserts only when absent (std::map::emplace). Returns true on insert.
   bool emplace(vsm::ItemId id, vsm::SparseVector vector) {
-    return live_.emplace(id, Slot{std::move(vector), write_epoch_}).second;
+    if (find_live(id) != copies_.end()) return false;
+    copies_.emplace(id, Copy{std::move(vector), vsm::Stamp{write_epoch_}});
+    return true;
   }
 
   /// Removes the copy for `id`; returns the number removed (0 or 1).
   std::size_t erase(vsm::ItemId id) {
-    const auto it = live_.find(id);
-    if (it == live_.end()) return 0;
-    retire(id, it->second);
-    live_.erase(it);
+    const auto it = find_live(id);
+    if (it == copies_.end()) return 0;
+    if (retain_) {
+      it->second.stamp.removed = write_epoch_;
+      ++tombstones_;
+    } else {
+      copies_.erase(it);
+    }
     return 1;
   }
 
   [[nodiscard]] bool contains(vsm::ItemId id) const {
-    return live_.contains(id);
+    return contains_at(id, vsm::kEpochLatest);
   }
-  [[nodiscard]] std::size_t size() const noexcept { return live_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return live_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return copies_.size() - tombstones_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
-  /// Latest-state iteration in id order (value type: pair<ItemId, Slot>).
-  [[nodiscard]] auto begin() { return live_.begin(); }
-  [[nodiscard]] auto end() { return live_.end(); }
-  [[nodiscard]] auto begin() const { return live_.begin(); }
-  [[nodiscard]] auto end() const { return live_.end(); }
+  /// Moves every live copy out in id order (handing off to surviving
+  /// nodes on depart), leaving the store empty.
+  [[nodiscard]] std::vector<std::pair<vsm::ItemId, vsm::SparseVector>>
+  take_all() {
+    std::vector<std::pair<vsm::ItemId, vsm::SparseVector>> out;
+    out.reserve(size());
+    for (auto& [id, copy] : copies_) {
+      if (copy.stamp.live()) out.emplace_back(id, std::move(copy.vector));
+    }
+    copies_.clear();
+    tombstones_ = 0;
+    return out;
+  }
 
   void set_write_epoch(vsm::Epoch e) noexcept { write_epoch_ = e; }
   void retain_versions(bool on) noexcept { retain_ = on; }
-  void gc() noexcept { retired_.clear(); }
+  void gc() {
+    if (tombstones_ == 0) return;
+    std::erase_if(copies_,
+                  [](const auto& kv) { return !kv.second.stamp.live(); });
+    tombstones_ = 0;
+  }
 
   [[nodiscard]] bool contains_at(vsm::ItemId id, vsm::Epoch at) const {
-    if (at == vsm::kEpochLatest) return live_.contains(id);
-    const auto it = live_.find(id);
-    if (it != live_.end() && it->second.added <= at) return true;
-    const auto rit = retired_.find(id);
-    return rit != retired_.end() && visible_version(rit->second, at) != nullptr;
+    const auto [lo, hi] = copies_.equal_range(id);
+    return std::any_of(lo, hi, [at](const auto& kv) {
+      return kv.second.stamp.visible_at(at);
+    });
   }
 
   /// Id-ordered iteration over the copies visible at epoch `at`;
   /// `fn(id, vector)` returns false to stop early. At most one version of
-  /// an id is visible (a live slot stamped this epoch hides behind its
-  /// retired predecessor, and vice versa), so the merge yields each id at
-  /// most once — the same sequence the plain map held at epoch `at`.
+  /// an id is visible at any epoch, so this is the sequence the plain map
+  /// held at epoch `at`.
   template <typename Fn>
   void for_each_at(vsm::Epoch at, Fn&& fn) const {
-    if (at == vsm::kEpochLatest) {
-      for (const auto& [id, slot] : live_) {
-        if (!fn(id, slot.vector)) return;
-      }
-      return;
-    }
-    auto lit = live_.begin();
-    auto rit = retired_.begin();
-    while (lit != live_.end() || rit != retired_.end()) {
-      if (rit == retired_.end() ||
-          (lit != live_.end() && lit->first < rit->first)) {
-        if (lit->second.added <= at && !fn(lit->first, lit->second.vector)) {
-          return;
-        }
-        ++lit;
-      } else if (lit == live_.end() || rit->first < lit->first) {
-        if (const vsm::SparseVector* v = visible_version(rit->second, at)) {
-          if (!fn(rit->first, *v)) return;
-        }
-        ++rit;
-      } else {  // same id on both sides: at most one version is visible
-        if (lit->second.added <= at) {
-          if (!fn(lit->first, lit->second.vector)) return;
-        } else if (const vsm::SparseVector* v =
-                       visible_version(rit->second, at)) {
-          if (!fn(rit->first, *v)) return;
-        }
-        ++lit;
-        ++rit;
-      }
+    for (const auto& [id, copy] : copies_) {
+      if (copy.stamp.visible_at(at) && !fn(id, copy.vector)) return;
     }
   }
 
  private:
-  struct RetiredSlot {
+  struct Copy {
     vsm::SparseVector vector;
-    vsm::Epoch added = 0;
-    vsm::Epoch removed = 0;
+    vsm::Stamp stamp;
   };
+  /// Versions of one id sit together in insertion order; at most one of
+  /// them is live.
+  using Copies = std::multimap<vsm::ItemId, Copy>;
 
-  void retire(vsm::ItemId id, Slot& slot) {
-    if (!retain_) return;
-    retired_[id].push_back(
-        RetiredSlot{std::move(slot.vector), slot.added, write_epoch_});
+  [[nodiscard]] Copies::iterator find_live(vsm::ItemId id) {
+    const auto [lo, hi] = copies_.equal_range(id);
+    const auto it = std::find_if(
+        lo, hi, [](const auto& kv) { return kv.second.stamp.live(); });
+    return it != hi ? it : copies_.end();
   }
 
-  static const vsm::SparseVector* visible_version(
-      const std::vector<RetiredSlot>& versions, vsm::Epoch at) {
-    for (const RetiredSlot& v : versions) {
-      if (v.added <= at && at < v.removed) return &v.vector;
-    }
-    return nullptr;
-  }
-
-  std::map<vsm::ItemId, Slot> live_;
-  std::map<vsm::ItemId, std::vector<RetiredSlot>> retired_;
+  Copies copies_;
+  std::size_t tombstones_ = 0;  ///< copies with a `removed` stamp
   vsm::Epoch write_epoch_ = 0;
   bool retain_ = false;
 };

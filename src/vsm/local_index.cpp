@@ -78,35 +78,6 @@ std::size_t entry_index(const SparseVector& vector, KeywordId keyword) {
   return static_cast<std::size_t>(it - entries.begin());
 }
 
-/// Sparse dot of `v` against `query`, accumulated in ascending order of
-/// the *query's* keywords — the exact summation order accumulate() uses
-/// per slot, so a retired item scores bit-identically to its live self.
-double dot_in_query_order(const SparseVector& query, const SparseVector& v) {
-  const auto entries = v.entries();
-  double acc = 0.0;
-  for (const Entry& e : query.entries()) {
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), e.keyword,
-        [](const Entry& a, KeywordId k) { return a.keyword < k; });
-    if (it == entries.end() || it->keyword != e.keyword) continue;
-    acc += e.weight * it->weight;
-  }
-  return acc;
-}
-
-/// Does `v` contain every keyword of `keywords`?
-bool contains_all_keywords(const SparseVector& v,
-                           std::span<const KeywordId> keywords) {
-  const auto entries = v.entries();
-  for (const KeywordId kw : keywords) {
-    const auto it = std::lower_bound(
-        entries.begin(), entries.end(), kw,
-        [](const Entry& a, KeywordId k) { return a.keyword < k; });
-    if (it == entries.end() || it->keyword != kw) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void LocalIndex::add_postings(std::size_t slot) {
@@ -153,73 +124,92 @@ void LocalIndex::restamp_postings(std::size_t slot) {
   }
 }
 
-void LocalIndex::retire(const StoredItem& item, Epoch added) {
-  if (!retain_) return;
-  retired_.push_back(Retired{StoredItem{item.id, item.vector},
-                             added, write_epoch_});
-}
-
 void LocalIndex::insert(ItemId id, SparseVector vector) {
   METEO_EXPECTS(!vector.empty());
-  if (write_epoch_ > newest_added_) newest_added_ = write_epoch_;
   const auto it = positions_.find(id);
-  if (it != positions_.end()) {
-    // In-place replace: the old terms' postings must go before the new
-    // vector lands, or match_* would keep returning stale matches.
-    const std::size_t slot = it->second;
-    retire(items_[slot], added_[slot]);
-    remove_postings(slot);
-    items_[slot].vector = std::move(vector);
-    norms_[slot] = items_[slot].vector.norm();
-    added_[slot] = write_epoch_;
-    add_postings(slot);
-    return;
-  }
+  if (it != positions_.end()) remove_slot(it->second);
+  newest_added_ = std::max(newest_added_, write_epoch_);
   const std::size_t slot = items_.size();
   positions_.emplace(id, slot);
   items_.push_back(StoredItem{id, std::move(vector)});
   norms_.push_back(items_.back().vector.norm());
   posting_pos_.emplace_back();
-  added_.push_back(write_epoch_);
+  stamps_.push_back(Stamp{write_epoch_});
   add_postings(slot);
 }
 
-StoredItem LocalIndex::take_slot(std::size_t slot) {
-  retire(items_[slot], added_[slot]);
+void LocalIndex::remove_slot(std::size_t slot) {
+  positions_.erase(items_[slot].id);
+  if (!retain_) {
+    (void)drop_slot(slot);
+    return;
+  }
+  stamps_[slot].removed = write_epoch_;
+  ++tombstones_;
+}
+
+StoredItem LocalIndex::drop_slot(std::size_t slot) {
   remove_postings(slot);
   StoredItem out = std::move(items_[slot]);
-  positions_.erase(out.id);
   const std::size_t last = items_.size() - 1;
   if (slot != last) {
     items_[slot] = std::move(items_[last]);
     norms_[slot] = norms_[last];
     posting_pos_[slot] = std::move(posting_pos_[last]);
-    added_[slot] = added_[last];
-    positions_[items_[slot].id] = slot;
+    stamps_[slot] = stamps_[last];
+    if (stamps_[slot].live()) positions_[items_[slot].id] = slot;
     restamp_postings(slot);
   }
   items_.pop_back();
   norms_.pop_back();
   posting_pos_.pop_back();
-  added_.pop_back();
+  stamps_.pop_back();
   return out;
+}
+
+void LocalIndex::gc() {
+  if (tombstones_ == 0) return;
+  // Descending: the slot a swap-erase moves down comes from above, where
+  // every tombstone has already been dropped.
+  for (std::size_t slot = items_.size(); slot-- > 0;) {
+    if (!stamps_[slot].live()) (void)drop_slot(slot);
+  }
+  tombstones_ = 0;
 }
 
 bool LocalIndex::erase(ItemId id) {
   const auto it = positions_.find(id);
   if (it == positions_.end()) return false;
-  (void)take_slot(it->second);
+  remove_slot(it->second);
   return true;
 }
 
 std::optional<StoredItem> LocalIndex::take(ItemId id) {
   const auto it = positions_.find(id);
   if (it == positions_.end()) return std::nullopt;
-  return take_slot(it->second);
+  const std::size_t slot = it->second;
+  if (!retain_) {
+    positions_.erase(it);
+    return drop_slot(slot);
+  }
+  StoredItem out = items_[slot];  // the tombstone keeps the original
+  remove_slot(slot);
+  return out;
 }
 
-bool LocalIndex::contains(ItemId id) const noexcept {
-  return positions_.contains(id);
+bool LocalIndex::contains_at(ItemId id, Epoch at) const noexcept {
+  if (all_live_at(at)) return positions_.contains(id);
+  // The visible version of a replaced or removed id may be a tombstone.
+  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
+    if (items_[slot].id == id && stamps_[slot].visible_at(at)) return true;
+  }
+  return false;
+}
+
+bool LocalIndex::empty_at(Epoch at) const noexcept {
+  if (all_live_at(at)) return items_.empty();
+  return std::none_of(stamps_.begin(), stamps_.end(),
+                      [at](const Stamp& s) { return s.visible_at(at); });
 }
 
 const SparseVector* LocalIndex::vector_of(ItemId id) const noexcept {
@@ -240,9 +230,19 @@ void LocalIndex::accumulate(const SparseVector& query,
   }
 }
 
+// Every query below reads one epoch: kEpochLatest for the plain names,
+// the caller's `at` for the *_at ones. `filter` is false when the store
+// holds no tombstone and no version newer than that epoch, and the
+// kernel then runs exactly as an unversioned one; otherwise each result
+// slot must also be visible at the epoch. At most one version of an id
+// is visible at any epoch, and a tombstone keeps its postings and norm,
+// so a filtered query returns bit for bit what the unfiltered one did
+// when the store was in its epoch-`at` state.
+
 std::optional<ItemId> LocalIndex::least_similar(
     const SparseVector& reference) const {
-  if (items_.empty()) return std::nullopt;
+  if (size() == 0) return std::nullopt;
+  const bool filter = !all_live_at(kEpochLatest);
   ScoreScratch& s = begin_scratch(items_.size());
   accumulate(reference, s);
   const double rnorm = reference.norm();
@@ -256,13 +256,18 @@ std::optional<ItemId> LocalIndex::least_similar(
   };
   score_touched_into(s, norms_, rnorm);
   for (std::size_t t = 0; t < s.touched.size(); ++t) {
-    consider(items_[s.touched[t]].id, s.scores[t]);
+    const std::size_t slot = s.touched[t];
+    if (shows(slot, kEpochLatest, filter)) {
+      consider(items_[slot].id, s.scores[t]);
+    }
   }
   if (s.touched.size() != items_.size()) {
     // Items sharing no term with the reference score exactly 0.0 — the
     // same value the naive scan's dot/cosine produces for them.
     for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-      if (s.epoch[slot] != s.cur) consider(items_[slot].id, 0.0);
+      if (s.epoch[slot] != s.cur && shows(slot, kEpochLatest, filter)) {
+        consider(items_[slot].id, 0.0);
+      }
     }
   }
   return worst_id;
@@ -275,10 +280,16 @@ std::optional<StoredItem> LocalIndex::evict_least_similar(
   return take(*victim);
 }
 
-void LocalIndex::top_k(const SparseVector& query, std::size_t k,
-                       std::vector<ScoredItem>& out) const {
+void LocalIndex::top_k_at(const SparseVector& query, std::size_t k, Epoch at,
+                          std::vector<ScoredItem>& out) const {
   out.clear();
-  const std::size_t take_n = std::min(k, items_.size());
+  const bool filter = !all_live_at(at);
+  const std::size_t visible =
+      filter ? static_cast<std::size_t>(std::count_if(
+                   stamps_.begin(), stamps_.end(),
+                   [at](const Stamp& st) { return st.visible_at(at); }))
+             : items_.size();
+  const std::size_t take_n = std::min(k, visible);
   if (take_n == 0) return;
   ScoreScratch& s = begin_scratch(items_.size());
   accumulate(query, s);
@@ -287,11 +298,13 @@ void LocalIndex::top_k(const SparseVector& query, std::size_t k,
   s.zero_ids.clear();
   score_touched_into(s, norms_, qnorm);
   for (std::size_t t = 0; t < s.touched.size(); ++t) {
+    const std::size_t slot = s.touched[t];
+    if (!shows(slot, at, filter)) continue;
     const double score = s.scores[t];
     if (score > 0.0) {
-      s.scored.push_back(ScoredItem{items_[s.touched[t]].id, score});
+      s.scored.push_back(ScoredItem{items_[slot].id, score});
     } else {
-      s.zero_ids.push_back(items_[s.touched[t]].id);
+      s.zero_ids.push_back(items_[slot].id);
     }
   }
   if (s.scored.size() >= take_n) {
@@ -307,7 +320,9 @@ void LocalIndex::top_k(const SparseVector& query, std::size_t k,
   std::sort(s.scored.begin(), s.scored.end(), by_score_then_id);
   out.assign(s.scored.begin(), s.scored.end());
   for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (s.epoch[slot] != s.cur) s.zero_ids.push_back(items_[slot].id);
+    if (s.epoch[slot] != s.cur && shows(slot, at, filter)) {
+      s.zero_ids.push_back(items_[slot].id);
+    }
   }
   std::sort(s.zero_ids.begin(), s.zero_ids.end());
   for (const ItemId id : s.zero_ids) {
@@ -323,14 +338,17 @@ std::vector<ScoredItem> LocalIndex::top_k(const SparseVector& query,
   return out;
 }
 
-void LocalIndex::match_all(std::span<const KeywordId> keywords,
-                           std::vector<ItemId>& out) const {
+void LocalIndex::match_all_at(std::span<const KeywordId> keywords, Epoch at,
+                              std::vector<ItemId>& out) const {
   out.clear();
   // Empty-store fast path: most nodes of a large overlay store nothing,
   // and a walk visits them all — skip the scratch and the hash probes.
   if (items_.empty()) return;
+  const bool filter = !all_live_at(at);
   if (keywords.empty()) {
-    for (const StoredItem& item : items_) out.push_back(item.id);
+    for (std::size_t slot = 0; slot < items_.size(); ++slot) {
+      if (shows(slot, at, filter)) out.push_back(items_[slot].id);
+    }
     std::sort(out.begin(), out.end());
     return;
   }
@@ -340,21 +358,25 @@ void LocalIndex::match_all(std::span<const KeywordId> keywords,
     const auto it = postings_.find(keywords[0]);
     if (it == postings_.end()) return;
     for (const std::size_t slot : it->second.slots) {
-      out.push_back(items_[slot].id);
+      if (shows(slot, at, filter)) out.push_back(items_[slot].id);
     }
     std::sort(out.begin(), out.end());
     return;
   }
   ScoreScratch& s = begin_scratch(items_.size());
   for (const KeywordId kw : keywords) {
+    // A term nobody has: no matches. Tombstones keep their postings, so
+    // this holds at every epoch.
     const auto it = postings_.find(kw);
-    if (it == postings_.end()) return;  // a term nobody has: no matches
+    if (it == postings_.end()) return;
     kernels::accumulate_count(it->second.slots.data(), it->second.size(),
                               s.count.data(), s.epoch.data(), s.cur,
                               s.touched);
   }
   for (const std::size_t slot : s.touched) {
-    if (s.count[slot] == keywords.size()) out.push_back(items_[slot].id);
+    if (s.count[slot] == keywords.size() && shows(slot, at, filter)) {
+      out.push_back(items_[slot].id);
+    }
   }
   std::sort(out.begin(), out.end());
 }
@@ -370,6 +392,7 @@ void LocalIndex::match_any(std::span<const KeywordId> keywords,
                            std::vector<ItemId>& out) const {
   out.clear();
   if (items_.empty()) return;
+  const bool filter = !all_live_at(kEpochLatest);
   ScoreScratch& s = begin_scratch(items_.size());
   for (const KeywordId kw : keywords) {
     const auto it = postings_.find(kw);
@@ -381,7 +404,9 @@ void LocalIndex::match_any(std::span<const KeywordId> keywords,
       }
     }
   }
-  for (const std::size_t slot : s.touched) out.push_back(items_[slot].id);
+  for (const std::size_t slot : s.touched) {
+    if (shows(slot, kEpochLatest, filter)) out.push_back(items_[slot].id);
+  }
   std::sort(out.begin(), out.end());
 }
 
@@ -400,20 +425,22 @@ void LocalIndex::within_angle(const SparseVector& query, double tau,
   const double min_cosine = std::cos(tau) - 1e-12;
   out.clear();
   if (items_.empty()) return;
+  const bool filter = !all_live_at(kEpochLatest);
   ScoreScratch& s = begin_scratch(items_.size());
   accumulate(query, s);
   const double qnorm = query.norm();
   score_touched_into(s, norms_, qnorm);
   for (std::size_t t = 0; t < s.touched.size(); ++t) {
+    const std::size_t slot = s.touched[t];
     const double score = s.scores[t];
-    if (score >= min_cosine) {
-      out.push_back(ScoredItem{items_[s.touched[t]].id, score});
+    if (score >= min_cosine && shows(slot, kEpochLatest, filter)) {
+      out.push_back(ScoredItem{items_[slot].id, score});
     }
   }
   if (0.0 >= min_cosine) {
     // tau reaches (numerically) pi/2: zero-overlap items are in range too.
     for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-      if (s.epoch[slot] != s.cur) {
+      if (s.epoch[slot] != s.cur && shows(slot, kEpochLatest, filter)) {
         out.push_back(ScoredItem{items_[slot].id, 0.0});
       }
     }
@@ -426,149 +453,6 @@ std::vector<ScoredItem> LocalIndex::within_angle(const SparseVector& query,
   std::vector<ScoredItem> out;
   within_angle(query, tau, out);
   return out;
-}
-
-// --- epoch-stamped kernels (DESIGN.md §11) ---------------------------------
-// Each kernel first checks all_live_at: a store untouched by the current
-// write epoch answers through the plain kernel, so the versioned view only
-// costs on the (few) nodes a commit actually mutated.
-
-bool LocalIndex::contains_at(ItemId id, Epoch at) const noexcept {
-  if (all_live_at(at)) return contains(id);
-  const auto it = positions_.find(id);
-  if (it != positions_.end() && slot_visible_at(it->second, at)) return true;
-  for (const Retired& r : retired_) {
-    if (r.item.id == id && r.added <= at && at < r.removed) return true;
-  }
-  return false;
-}
-
-bool LocalIndex::empty_at(Epoch at) const noexcept {
-  if (all_live_at(at)) return empty();
-  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (slot_visible_at(slot, at)) return false;
-  }
-  for (const Retired& r : retired_) {
-    if (r.added <= at && at < r.removed) return false;
-  }
-  return true;
-}
-
-void LocalIndex::top_k_at(const SparseVector& query, std::size_t k, Epoch at,
-                          std::vector<ScoredItem>& out) const {
-  if (all_live_at(at)) {
-    top_k(query, k, out);
-    return;
-  }
-  out.clear();
-  // The epoch-`at` store size: visible live slots plus visible retired
-  // versions. At most one version of an id is visible (a live slot whose
-  // id also has a visible retired version was itself stamped this epoch,
-  // hence invisible), so this is an exact item count.
-  std::size_t visible = 0;
-  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (slot_visible_at(slot, at)) ++visible;
-  }
-  for (const Retired& r : retired_) {
-    if (r.added <= at && at < r.removed) ++visible;
-  }
-  const std::size_t take_n = std::min(k, visible);
-  if (take_n == 0) return;
-  ScoreScratch& s = begin_scratch(items_.size());
-  accumulate(query, s);
-  const double qnorm = query.norm();
-  s.scored.clear();
-  s.zero_ids.clear();
-  for (const std::size_t slot : s.touched) {
-    if (!slot_visible_at(slot, at)) continue;
-    const double score = std::clamp(
-        s.acc[slot] / (qnorm * items_[slot].vector.norm()), 0.0, 1.0);
-    if (score > 0.0) {
-      s.scored.push_back(ScoredItem{items_[slot].id, score});
-    } else {
-      s.zero_ids.push_back(items_[slot].id);
-    }
-  }
-  for (const Retired& r : retired_) {
-    if (!(r.added <= at && at < r.removed)) continue;
-    const double score =
-        std::clamp(dot_in_query_order(query, r.item.vector) /
-                       (qnorm * r.item.vector.norm()),
-                   0.0, 1.0);
-    if (score > 0.0) {
-      s.scored.push_back(ScoredItem{r.item.id, score});
-    } else {
-      s.zero_ids.push_back(r.item.id);
-    }
-  }
-  // (score, id) pairs are unique across visible versions, so sorting by
-  // the total order by_score_then_id yields the same sequence the plain
-  // kernel produced from its touched-order input.
-  if (s.scored.size() >= take_n) {
-    std::partial_sort(s.scored.begin(),
-                      s.scored.begin() + static_cast<std::ptrdiff_t>(take_n),
-                      s.scored.end(), by_score_then_id);
-    out.assign(s.scored.begin(),
-               s.scored.begin() + static_cast<std::ptrdiff_t>(take_n));
-    return;
-  }
-  std::sort(s.scored.begin(), s.scored.end(), by_score_then_id);
-  out.assign(s.scored.begin(), s.scored.end());
-  for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-    if (s.epoch[slot] != s.cur && slot_visible_at(slot, at)) {
-      s.zero_ids.push_back(items_[slot].id);
-    }
-  }
-  std::sort(s.zero_ids.begin(), s.zero_ids.end());
-  for (const ItemId id : s.zero_ids) {
-    if (out.size() == take_n) break;
-    out.push_back(ScoredItem{id, 0.0});
-  }
-}
-
-void LocalIndex::match_all_at(std::span<const KeywordId> keywords, Epoch at,
-                              std::vector<ItemId>& out) const {
-  if (all_live_at(at)) {
-    match_all(keywords, out);
-    return;
-  }
-  out.clear();
-  if (!items_.empty()) {
-    if (keywords.empty()) {
-      for (std::size_t slot = 0; slot < items_.size(); ++slot) {
-        if (slot_visible_at(slot, at)) out.push_back(items_[slot].id);
-      }
-    } else {
-      // Unlike the plain kernel, a keyword with no live posting list must
-      // NOT end the query: a retired version may still hold it.
-      ScoreScratch& s = begin_scratch(items_.size());
-      bool live_possible = true;
-      for (const KeywordId kw : keywords) {
-        const auto it = postings_.find(kw);
-        if (it == postings_.end()) {
-          live_possible = false;
-          break;
-        }
-        kernels::accumulate_count(it->second.slots.data(), it->second.size(),
-                                  s.count.data(), s.epoch.data(), s.cur,
-                                  s.touched);
-      }
-      if (live_possible) {
-        for (const std::size_t slot : s.touched) {
-          if (s.count[slot] == keywords.size() && slot_visible_at(slot, at)) {
-            out.push_back(items_[slot].id);
-          }
-        }
-      }
-    }
-  }
-  for (const Retired& r : retired_) {
-    if (!(r.added <= at && at < r.removed)) continue;
-    if (contains_all_keywords(r.item.vector, keywords)) {
-      out.push_back(r.item.id);
-    }
-  }
-  std::sort(out.begin(), out.end());
 }
 
 }  // namespace meteo::vsm

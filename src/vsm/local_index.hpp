@@ -46,48 +46,54 @@ struct ScoredItem {
 
 class LocalIndex {
  public:
-  /// Inserts (or replaces) an item. A replace rewrites the item's posting
-  /// lists in place (old terms removed, new terms added) so stale matches
-  /// are impossible. \pre !vector.empty()
+  /// Inserts (or replaces) an item. A replace removes the old version
+  /// (see erase) and stores the new one in a fresh slot, so stale
+  /// postings never match. \pre !vector.empty()
   void insert(ItemId id, SparseVector vector);
 
   /// Removes an item; returns false if absent.
   bool erase(ItemId id);
 
-  /// Removes an item and returns it (vector moved out), or nullopt.
+  /// Removes an item and returns it, or nullopt.
   std::optional<StoredItem> take(ItemId id);
 
-  [[nodiscard]] bool contains(ItemId id) const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
+  [[nodiscard]] bool contains(ItemId id) const noexcept {
+    return contains_at(id, kEpochLatest);
+  }
+  /// Items in the latest view.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return items_.size() - tombstones_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return empty_at(kEpochLatest); }
 
   // --- epoch-stamped views (DESIGN.md §11) --------------------------------
-  // While retain_versions(true) is armed, mutations stamp their slot with
-  // the current write epoch and park the version they displace in a
-  // retired sidecar instead of destroying it. The *_at kernels then answer
-  // reads pinned at an earlier epoch bit-identically to what the plain
-  // kernels would have returned before those mutations ran. With the
-  // defaults (retain off, write epoch 0) every path below forwards to the
-  // unversioned kernel, so facade users pay nothing.
+  // Every slot carries a Stamp. While retain_versions(true) is armed, an
+  // erase, replace or eviction only stamps the version's `removed` epoch
+  // and leaves its vector, norm and postings in place (a tombstone), so
+  // a reader pinned at an earlier epoch still finds it; gc() drops the
+  // tombstones at the window boundary. Each query has one body that
+  // checks stamps only when the store holds a tombstone or a version
+  // newer than the epoch asked for; otherwise it runs exactly as an
+  // unversioned kernel. The plain names read at kEpochLatest.
 
-  /// Stamps subsequent mutations as belonging to epoch `e`.
+  /// Stamps subsequent insertions and removals with epoch `e`.
   void set_write_epoch(Epoch e) noexcept { write_epoch_ = e; }
 
-  /// Arms (or disarms) version retention for displaced items.
+  /// Arms (or disarms) tombstoning of removed versions.
   void retain_versions(bool on) noexcept { retain_ = on; }
 
-  /// Drops every retired version (epoch boundary: no reader pins the old
-  /// epoch anymore).
-  void gc() noexcept { retired_.clear(); }
+  /// Drops every tombstone (epoch boundary: no reader pins an epoch that
+  /// could still see one).
+  void gc();
 
-  /// contains() as of epoch `at` (kEpochLatest = plain contains()).
+  /// contains() as of epoch `at`.
   [[nodiscard]] bool contains_at(ItemId id, Epoch at) const noexcept;
 
   /// empty() as of epoch `at`.
   [[nodiscard]] bool empty_at(Epoch at) const noexcept;
 
   /// top_k() as of epoch `at`: scores and order are bit-identical to what
-  /// the plain kernel returned when the store was in its epoch-`at` state.
+  /// top_k() returned when the store was in its epoch-`at` state.
   void top_k_at(const SparseVector& query, std::size_t k, Epoch at,
                 std::vector<ScoredItem>& out) const;
 
@@ -117,14 +123,18 @@ class LocalIndex {
   /// Caller-buffer overload: clears `out` and fills it with the top-k
   /// result, reusing `out`'s capacity (no per-call allocation once warm).
   void top_k(const SparseVector& query, std::size_t k,
-             std::vector<ScoredItem>& out) const;
+             std::vector<ScoredItem>& out) const {
+    top_k_at(query, k, kEpochLatest, out);
+  }
 
   /// All items whose vectors contain *every* keyword in `keywords`
   /// (conjunctive multi-keyword match, the query type from §1).
   [[nodiscard]] std::vector<ItemId> match_all(
       std::span<const KeywordId> keywords) const;
   void match_all(std::span<const KeywordId> keywords,
-                 std::vector<ItemId>& out) const;
+                 std::vector<ItemId>& out) const {
+    match_all_at(keywords, kEpochLatest, out);
+  }
 
   /// All items containing *at least one* of `keywords`.
   [[nodiscard]] std::vector<ItemId> match_any(
@@ -139,7 +149,8 @@ class LocalIndex {
   void within_angle(const SparseVector& query, double tau,
                     std::vector<ScoredItem>& out) const;
 
-  /// Stable view of all stored items (iteration order is unspecified).
+  /// The stored slots (iteration order is unspecified). While tombstones
+  /// are pending they are included.
   [[nodiscard]] std::span<const StoredItem> items() const noexcept {
     return items_;
   }
@@ -157,14 +168,6 @@ class LocalIndex {
     [[nodiscard]] std::size_t size() const noexcept { return slots.size(); }
   };
 
-  /// A displaced version kept alive for readers pinned at an older epoch:
-  /// visible at `at` when `added <= at && at < removed`.
-  struct Retired {
-    StoredItem item;
-    Epoch added = 0;
-    Epoch removed = 0;
-  };
-
   /// Appends postings for every term of items_[slot].vector, recording
   /// each posting's position in posting_pos_[slot].
   void add_postings(std::size_t slot);
@@ -177,8 +180,12 @@ class LocalIndex {
   /// swap-erase moved it from the last slot to `slot`.
   void restamp_postings(std::size_t slot);
 
-  /// Removes the item at `slot` and returns it.
-  StoredItem take_slot(std::size_t slot);
+  /// Takes the live items_[slot] out of the latest view: a tombstone
+  /// while retention is armed, dropped at once otherwise.
+  void remove_slot(std::size_t slot);
+
+  /// Physically removes items_[slot] (swap-erase) and returns it.
+  StoredItem drop_slot(std::size_t slot);
 
   /// Term-at-a-time dot products of `query` against every stored item
   /// sharing at least one term, accumulated into `scratch` (DESIGN.md §9:
@@ -188,20 +195,18 @@ class LocalIndex {
   void accumulate(const SparseVector& query,
                   detail::ScoreScratch& scratch) const;
 
-  /// True when the epoch-`at` view equals the live state, so a versioned
-  /// kernel may dispatch straight to its unversioned twin.
+  /// True when every slot is visible at `at` — no tombstone, no version
+  /// newer than `at` — so a query need not check stamps at all.
   [[nodiscard]] bool all_live_at(Epoch at) const noexcept {
-    return at == kEpochLatest || (retired_.empty() && newest_added_ <= at);
+    return tombstones_ == 0 && newest_added_ <= at;
   }
 
-  /// items_[slot] is visible to a reader pinned at `at`.
-  [[nodiscard]] bool slot_visible_at(std::size_t slot,
-                                     Epoch at) const noexcept {
-    return added_[slot] <= at;
+  /// Does a query at `at` report items_[slot]? `filter` is
+  /// !all_live_at(at), hoisted out of the kernels' loops.
+  [[nodiscard]] bool shows(std::size_t slot, Epoch at,
+                           bool filter) const noexcept {
+    return !filter || stamps_[slot].visible_at(at);
   }
-
-  /// Parks a copy of a version displaced by the current write epoch.
-  void retire(const StoredItem& item, Epoch added);
 
   std::vector<StoredItem> items_;
   /// norms_[slot] = items_[slot].vector.norm(), kept parallel to items_
@@ -211,16 +216,16 @@ class LocalIndex {
   /// posting_pos_[slot][j] = index within postings_[kw_j] of the item's
   /// posting for its j-th vector entry (parallel to the entry order).
   std::vector<std::vector<std::size_t>> posting_pos_;
+  /// stamps_[slot]: the version's lifetime, parallel to items_.
+  std::vector<Stamp> stamps_;
+  /// Id -> its live slot (tombstones are reachable only by scanning).
   std::unordered_map<ItemId, std::size_t> positions_;
   std::unordered_map<KeywordId, PostingList> postings_;
 
-  /// added_[slot] = epoch that inserted (or last replaced) items_[slot];
-  /// parallel to items_ and kept in sync through swap-erases.
-  std::vector<Epoch> added_;
-  std::vector<Retired> retired_;
-  Epoch newest_added_ = 0;   ///< max over added_; gates the fast path
-  Epoch write_epoch_ = 0;    ///< stamp for the next mutation
-  bool retain_ = false;      ///< park displaced versions in retired_?
+  std::size_t tombstones_ = 0;  ///< slots with a `removed` stamp
+  Epoch newest_added_ = 0;      ///< max `added` stamp; gates all_live_at
+  Epoch write_epoch_ = 0;       ///< stamp for the next mutation
+  bool retain_ = false;         ///< tombstone removals instead of dropping
 };
 
 }  // namespace meteo::vsm

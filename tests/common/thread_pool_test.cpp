@@ -103,5 +103,17 @@ TEST(ThreadPool, SingleThreadPoolStillWorks) {
   EXPECT_EQ(n.load(), 256);
 }
 
+// Back-to-back calls reuse the caller's stack for each call's completion
+// state, so a task still signalling completion after parallel_for returned
+// would race the next call's set-up; ThreadSanitizer reports that race.
+TEST(ThreadPool, BackToBackParallelForsDoNotOverlap) {
+  ThreadPool pool(4);
+  std::atomic<int> n{0};
+  for (int round = 0; round < 2000; ++round) {
+    pool.parallel_for(0, 4, [&](std::size_t) { n.fetch_add(1); });
+  }
+  EXPECT_EQ(n.load(), 8000);
+}
+
 }  // namespace
 }  // namespace meteo

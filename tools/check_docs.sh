@@ -10,9 +10,8 @@
 #   3. Every dotted series token in docs/OBSERVABILITY.md names a real
 #      metric/label string in src/obs/names.hpp (stale-doc direction;
 #      check 5 walks code->doc).
-#   4. Every METEO_ZONE("...") literal in src/ is documented in
-#      docs/PERFORMANCE.md, and every dotted token PERFORMANCE.md
-#      mentions is either a live zone or a live metric name.
+#   4. Every dotted token docs/PERFORMANCE.md mentions is a live metric
+#      name in src/obs/names.hpp.
 #   5. Every quoted string in src/obs/names.hpp (metric names, label
 #      keys, and the label values listed in its comments) appears in
 #      docs/OBSERVABILITY.md, so a metric cannot land undocumented.
@@ -68,9 +67,9 @@ for r in "${defined_rules[@]}"; do
   fi
 done
 
-# Dotted lowercase tokens (`op.count`, `search.walk`, ...) — the shared
-# shape of metric series and profile zones. File names are excluded by
-# rejecting anything ending in a known source/doc extension.
+# Dotted lowercase tokens (`op.count`, `epoch.current`, ...) — the shape
+# of metric series. File names are excluded by rejecting anything ending
+# in a known source/doc extension.
 extract_dotted() {
   grep -hoE '`[a-z_]+(\.[a-z_]+)+`' "$1" | tr -d '`' \
     | grep -vE '\.(md|sh|py|hpp|cpp|json|txt|cmake)$' | sort -u
@@ -85,24 +84,12 @@ for t in "${obs_tokens[@]}"; do
   fi
 done
 
-# --- 4. profile zones --------------------------------------------------------
-mapfile -t zones < <(grep -rhoE 'METEO_ZONE\("[^"]+"\)' src \
-  | sed -E 's/METEO_ZONE\("([^"]+)"\)/\1/' | sort -u)
-if [[ ${#zones[@]} -eq 0 ]]; then
-  problem "extracted no METEO_ZONE literals from src/ (pattern drift?)"
-fi
-for z in "${zones[@]}"; do
-  if ! grep -qF "\`${z}\`" docs/PERFORMANCE.md; then
-    problem "zone '${z}' (src/) is not documented in docs/PERFORMANCE.md"
-  fi
-done
+# --- 4. metric series named in PERFORMANCE.md --------------------------------
 mapfile -t perf_tokens < <(extract_dotted docs/PERFORMANCE.md || true)
 for t in "${perf_tokens[@]}"; do
-  known=0
-  for z in "${zones[@]}"; do [[ "$t" == "$z" ]] && known=1 && break; done
-  if [[ ${known} -eq 0 ]] && ! grep -qF "\"${t}\"" src/obs/names.hpp; then
-    problem "docs/PERFORMANCE.md names '${t}' which is neither a live" \
-            "METEO_ZONE nor a metric in src/obs/names.hpp"
+  if ! grep -qF "\"${t}\"" src/obs/names.hpp; then
+    problem "docs/PERFORMANCE.md names '${t}' which is not a metric in" \
+            "src/obs/names.hpp"
   fi
 done
 
@@ -123,5 +110,5 @@ if [[ ${fail} -ne 0 ]]; then
   exit 1
 fi
 echo "check_docs: ok (${#bench_names[@]} benchmark artifacts," \
-     "${#rule_ids[@]} lint rules, ${#obs_tokens[@]} series tokens," \
-     "${#zones[@]} zones, ${#names[@]} names.hpp strings)"
+     "${#rule_ids[@]} lint rules, ${#obs_tokens[@]} + ${#perf_tokens[@]}" \
+     "series tokens, ${#names[@]} names.hpp strings)"

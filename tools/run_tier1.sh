@@ -91,9 +91,8 @@ python3 tools/bench_compare.py tools/baselines/BENCH_ablation_naming.json BENCH_
 python3 tools/bench_compare.py tools/baselines/BENCH_kernels.json BENCH_kernels.json
 python3 tools/bench_compare.py tools/baselines/BENCH_scale.json BENCH_scale.json
 
-# Docs-coherence gate: every benchmark artifact, lint rule, and profile
-# zone named in docs/ must exist in the tree, every METEO_ZONE in src/
-# must be documented in docs/PERFORMANCE.md, and every metric name in
+# Docs-coherence gate: every benchmark artifact, lint rule and metric
+# series named in docs/ must exist in the tree, and every metric name in
 # src/obs/names.hpp must be documented in docs/OBSERVABILITY.md.
 tools/check_docs.sh
 
