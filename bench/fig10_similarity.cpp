@@ -8,9 +8,7 @@
 /// (b) Total messages to discover k similar items: linear in k with slope
 ///     (1/c) * O(log N).
 ///
-/// Both parts run as similarity-search batches through the BatchEngine; a
-/// final section times a search batch at 1/2/4/8 workers and merges the
-/// throughput into BENCH_batch.json.
+/// Both parts run as similarity-search batches through the BatchEngine.
 ///
 /// Keyword choice: following the paper's setup (matching-item counts are
 /// "smaller than the system size"), the n-th popular keyword is taken
@@ -22,6 +20,7 @@
 
 #include "bench/harness.hpp"
 #include "common/stats.hpp"
+#include "meteorograph/batch.hpp"
 
 int main(int argc, char** argv) {
   using namespace meteo;
@@ -29,8 +28,6 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("nodes10", "10000", "overlay size for this figure");
   cli.add_flag("capacity-factor", "8", "node capacity as multiple of c");
-  cli.add_flag("batch-json", "BENCH_batch.json",
-               "throughput report path (empty = skip the timing sweep)");
   if (!cli.parse(argc, argv)) return 1;
   bench::ExperimentFlags flags = bench::read_common_flags(cli);
   const auto nodes = static_cast<std::size_t>(cli.get_int("nodes10"));
@@ -45,7 +42,7 @@ int main(int argc, char** argv) {
       cap);
   (void)bench::publish_all(sys, wl);
   // Tracing covers the measured search batches (a) and (b), not the
-  // corpus load and not the timing sweep below.
+  // corpus load.
   obs::TraceLog trace_log;
   bench::maybe_attach_tracer(sys, trace_log, flags);
   core::BatchEngine engine(sys, {.seed = flags.seed});
@@ -160,28 +157,5 @@ int main(int argc, char** argv) {
   bench::emit(part_b, flags.csv);
 
   bench::export_observability(sys, trace_log, flags, "fig10");
-  sys.set_tracer(nullptr);  // keep the timing sweep trace-free
-
-  // ---- batch throughput sweep --------------------------------------------
-  if (!cli.get("batch-json").empty()) {
-    bench::banner("Similarity-search batch throughput vs worker count",
-                  flags.csv);
-    // A mixed batch: every candidate keyword, discover-all plus top-k.
-    std::vector<std::vector<vsm::KeywordId>> queries;
-    queries.reserve(candidates.size());
-    std::vector<core::SearchOp> sweep_ops;
-    for (const vsm::KeywordId keyword : candidates) {
-      queries.push_back({keyword});
-      sweep_ops.push_back(core::SearchOp{queries.back(), 0, {}});
-      sweep_ops.push_back(core::SearchOp{queries.back(), 16, {}});
-    }
-    const std::size_t workers[] = {1, 2, 4, 8};
-    const std::vector<bench::BatchTiming> timings = bench::time_batches(
-        sys, workers, sweep_ops.size(), flags.seed,
-        [&](core::BatchEngine& e) { (void)e.similarity_search(sweep_ops); });
-    bench::emit(bench::batch_table(timings), flags.csv);
-    bench::append_batch_json(cli.get("batch-json"), "fig10_search_batch",
-                             timings);
-  }
   return 0;
 }

@@ -3,9 +3,7 @@
 /// the three variants None / Unused Hash Space / + Hot Regions. All three
 /// must track O(log N).
 ///
-/// The query sweep runs as locate batches through the BatchEngine; a final
-/// section times the same batch at 1/2/4/8 workers and merges the
-/// throughput into BENCH_batch.json.
+/// The query sweep runs as locate batches through the BatchEngine.
 
 #include <cmath>
 #include <string>
@@ -13,6 +11,7 @@
 
 #include "bench/harness.hpp"
 #include "common/stats.hpp"
+#include "meteorograph/batch.hpp"
 #include "obs/names.hpp"
 
 int main(int argc, char** argv) {
@@ -21,8 +20,6 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   cli.add_flag("node-counts", "1000,2500,5000,7500,10000",
                "comma-separated overlay sizes");
-  cli.add_flag("batch-json", "BENCH_batch.json",
-               "throughput report path (empty = skip the timing sweep)");
   if (!cli.parse(argc, argv)) return 1;
   const bench::ExperimentFlags flags = bench::read_common_flags(cli);
 
@@ -52,7 +49,7 @@ int main(int argc, char** argv) {
   };
 
   // The query set is drawn once per overlay size and shared by all three
-  // modes (and, below, by every worker count of the timing sweep).
+  // modes.
   auto make_ops = [&](std::size_t n) {
     Rng query_rng(flags.seed ^ n);
     std::vector<core::LocateOp> ops;
@@ -113,22 +110,5 @@ int main(int argc, char** argv) {
     table.add_row(std::move(row));
   }
   bench::emit(table, flags.csv);
-
-  // ---- batch throughput sweep --------------------------------------------
-  if (!cli.get("batch-json").empty()) {
-    bench::banner("Locate batch throughput vs worker count", flags.csv);
-    const std::size_t n = node_counts.back();
-    core::Meteorograph sys = bench::build_system(
-        flags, wl, core::LoadBalanceMode::kUnusedHashSpacePlusHotRegions, n);
-    (void)bench::publish_all(sys, wl);
-    const std::vector<core::LocateOp> ops = make_ops(n);
-    const std::size_t workers[] = {1, 2, 4, 8};
-    const std::vector<bench::BatchTiming> timings = bench::time_batches(
-        sys, workers, ops.size(), flags.seed,
-        [&](core::BatchEngine& engine) { (void)engine.locate(ops); });
-    bench::emit(bench::batch_table(timings), flags.csv);
-    bench::append_batch_json(cli.get("batch-json"), "fig7_locate_batch",
-                             timings);
-  }
   return 0;
 }

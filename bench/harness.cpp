@@ -1,12 +1,10 @@
 #include "bench/harness.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <thread>
+
+#include "common/rng.hpp"
 
 namespace meteo::bench {
 
@@ -134,6 +132,25 @@ void banner(const std::string& title, bool csv) {
   std::printf("=== %s ===\n\n", title.c_str());
 }
 
+std::vector<overlay::Key> sorted_unique_keys(std::size_t count,
+                                             overlay::Key key_space,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<overlay::Key> keys;
+  keys.reserve(count + count / 8);
+  while (true) {
+    while (keys.size() < count + count / 8) {
+      keys.push_back(rng.below(key_space));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    if (keys.size() >= count) {
+      keys.resize(count);
+      return keys;
+    }
+  }
+}
+
 void maybe_attach_tracer(core::Meteorograph& sys, obs::TraceLog& log,
                          const ExperimentFlags& flags) {
   if (!flags.trace_out.empty()) sys.set_tracer(&log);
@@ -195,73 +212,6 @@ std::vector<vsm::KeywordId> popular_keywords(const workload::Trace& trace,
   });
   if (ids.size() > count) ids.resize(count);
   return ids;
-}
-
-std::vector<BatchTiming> time_batches(
-    core::Meteorograph& sys, std::span<const std::size_t> worker_counts,
-    std::size_t ops, std::uint64_t seed,
-    const std::function<void(core::BatchEngine&)>& run) {
-  std::vector<BatchTiming> timings;
-  for (const std::size_t workers : worker_counts) {
-    core::BatchEngine engine(sys, {.workers = workers, .seed = seed});
-    const auto start = std::chrono::steady_clock::now();
-    run(engine);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    BatchTiming t;
-    t.workers = workers;
-    t.seconds = elapsed.count();
-    t.ops_per_second =
-        t.seconds > 0.0 ? static_cast<double>(ops) / t.seconds : 0.0;
-    t.speedup = timings.empty() ? 1.0 : timings.front().seconds / t.seconds;
-    timings.push_back(t);
-  }
-  return timings;
-}
-
-TextTable batch_table(const std::vector<BatchTiming>& timings) {
-  TextTable table({"workers", "seconds", "ops/s", "speedup vs 1 worker"});
-  for (const BatchTiming& t : timings) {
-    table.add_row({TextTable::integer(static_cast<long long>(t.workers)),
-                   TextTable::num(t.seconds, 4),
-                   TextTable::num(t.ops_per_second, 1),
-                   TextTable::num(t.speedup, 3)});
-  }
-  return table;
-}
-
-void append_batch_json(const std::string& path, const std::string& bench,
-                       const std::vector<BatchTiming>& timings) {
-  // One record per line inside "results"; merging is a line-level rewrite
-  // that drops this bench's stale records and keeps everyone else's.
-  std::vector<std::string> records;
-  {
-    std::ifstream in(path);
-    const std::string mine = "\"bench\": \"" + bench + "\"";
-    for (std::string line; std::getline(in, line);) {
-      if (line.find("\"bench\"") == std::string::npos) continue;
-      if (line.find(mine) != std::string::npos) continue;
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      records.push_back(line);
-    }
-  }
-  for (const BatchTiming& t : timings) {
-    std::ostringstream rec;
-    rec << "    {\"bench\": \"" << bench << "\", \"workers\": " << t.workers
-        << ", \"seconds\": " << t.seconds
-        << ", \"ops_per_second\": " << t.ops_per_second
-        << ", \"speedup\": " << t.speedup << "}";
-    records.push_back(rec.str());
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace meteo::bench

@@ -10,14 +10,11 @@
 /// series for plotting.
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "meteorograph/batch.hpp"
 #include "meteorograph/meteorograph.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -89,6 +86,11 @@ void banner(const std::string& title, bool csv);
 [[nodiscard]] std::vector<vsm::KeywordId> popular_keywords(
     const workload::Trace& trace, std::size_t count, std::uint64_t max_df);
 
+/// `count` distinct overlay keys below `key_space` in ascending order,
+/// drawn from `seed`: the input bulk_join() takes.
+[[nodiscard]] std::vector<overlay::Key> sorted_unique_keys(
+    std::size_t count, overlay::Key key_space, std::uint64_t seed);
+
 // --- observability export (--trace-out / --metrics-out) ---------------------
 
 /// Attaches `log` as `sys`'s tracer iff --trace-out was given. Call before
@@ -105,35 +107,5 @@ void export_observability(const core::Meteorograph& sys,
                           const obs::TraceLog& log,
                           const ExperimentFlags& flags,
                           const std::string& tag = "");
-
-// --- batch throughput (BENCH_batch.json) -----------------------------------
-
-/// One wall-clock measurement of a batch at a fixed worker count.
-struct BatchTiming {
-  std::size_t workers = 0;
-  double seconds = 0.0;
-  double ops_per_second = 0.0;
-  double speedup = 1.0;  ///< vs the first (1-worker) measurement
-};
-
-/// Times `run` once per entry of `worker_counts`, each with a fresh
-/// BatchEngine over `sys` seeded identically — so every measurement
-/// executes the exact same deterministic batch. `run` must be read-only
-/// (locate/retrieve/search batches): the system is shared across rounds.
-/// `ops` is the batch size, used for the ops/s column.
-[[nodiscard]] std::vector<BatchTiming> time_batches(
-    core::Meteorograph& sys, std::span<const std::size_t> worker_counts,
-    std::size_t ops, std::uint64_t seed,
-    const std::function<void(core::BatchEngine&)>& run);
-
-/// Renders timings as a table (workers / seconds / ops/s / speedup).
-[[nodiscard]] TextTable batch_table(const std::vector<BatchTiming>& timings);
-
-/// Merges `timings` into the JSON report at `path` under `bench` (replacing
-/// any previous records with the same bench name, keeping the rest). The
-/// report also records hardware_concurrency: on a single-core host the
-/// speedup column is expected to hover around 1.0.
-void append_batch_json(const std::string& path, const std::string& bench,
-                       const std::vector<BatchTiming>& timings);
 
 }  // namespace meteo::bench

@@ -1,7 +1,9 @@
 /// Kernel microbenchmarks (google-benchmark): the hot paths every
 /// experiment leans on — absolute-angle computation, Eq. 6 remapping,
-/// overlay routing, the workload samplers, directory-store withdrawal
-/// upkeep, and whole-batch execution at increasing worker counts.
+/// overlay routing and bulk assembly, the workload samplers,
+/// directory-store withdrawal upkeep, and whole-batch execution at
+/// increasing worker counts. tools/bench_gate.py runs a subset of them
+/// and checks ratios within that one run (docs/PERFORMANCE.md).
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "meteorograph/batch.hpp"
@@ -89,6 +92,40 @@ void BM_OverlayRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlayRoute)->Arg(1000)->Arg(10'000);
 
+// Ring + routing-table assembly from sorted keys (DESIGN.md §13), and
+// the construction bulk_join is contractually equivalent to: the same
+// keys joined one at a time, then repair().
+void BM_OverlayBulkJoin(benchmark::State& state) {
+  const overlay::OverlayConfig config;
+  const auto keys = bench::sorted_unique_keys(
+      static_cast<std::size_t>(state.range(0)), config.key_space, 7);
+  for (auto _ : state) {
+    overlay::Overlay net(config);
+    net.bulk_join(keys);
+    benchmark::DoNotOptimize(net.alive_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_OverlaySequentialJoin(benchmark::State& state) {
+  const overlay::OverlayConfig config;
+  const auto keys = bench::sorted_unique_keys(
+      static_cast<std::size_t>(state.range(0)), config.key_space, 7);
+  for (auto _ : state) {
+    overlay::Overlay net(config);
+    for (const overlay::Key key : keys) (void)net.join(key);
+    net.repair();
+    benchmark::DoNotOptimize(net.alive_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_OverlayBulkJoin)->Arg(10'000)->Arg(100'000)->Unit(
+    benchmark::kMillisecond);
+BENCHMARK(BM_OverlaySequentialJoin)->Arg(100'000)->Unit(
+    benchmark::kMillisecond);
+
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(5);
   const ZipfSampler zipf(89'000, 0.95);
@@ -113,8 +150,8 @@ BENCHMARK(BM_AliasSample);
 //
 // BM_LocalIndex* (inverted postings) vs BM_LocalIndexNaive* (the retained
 // naive scan from vsm/naive_scan.hpp) at store sizes {16,128,1024} and
-// query nnz {2,8,32}. tools/bench_compare.py diffs the resulting
-// BENCH_local_index.json against the committed baseline.
+// query nnz {2,8,32}. tools/bench_gate.py requires the inverted TopK and
+// MatchAll at 1024/8 to beat the naive scan by a fixed factor.
 
 constexpr std::size_t kIndexDims = 1024;
 constexpr std::size_t kItemNnz = 8;
@@ -236,8 +273,8 @@ BENCHMARK(BM_LocalIndexNaiveEvict)->Apply(index_sizes);
 // BM_LocalIndex* suite exercises (items x query nnz). The scalar/vector
 // pair is the headline number: both produce bit-identical scores (proven
 // by tests/vsm/kernel_oracle_test.cpp), so the speedup is free.
-// tools/bench_compare.py diffs BENCH_kernels.json against the committed
-// baseline.
+// tools/bench_gate.py requires the vector variant to beat the scalar one
+// at 1024 and 8192 items whenever the vector_isa counter reports it.
 
 /// acc/norms/touched arrays shaped like LocalIndex::top_k's state after
 /// its accumulate pass: every item touched, accumulation from a real
@@ -300,6 +337,8 @@ void BM_KernelTopKScoreScalar(benchmark::State& state) {
 }
 void BM_KernelTopKScoreVector(benchmark::State& state) {
   bench_kernel_score<vsm::kernels::score_touched_vector>(state);
+  // 0 when the host runs the scalar fallback (no AVX2 build or CPU).
+  state.counters["vector_isa"] = vsm::kernels::vector_available() ? 1 : 0;
 }
 
 void kernel_sizes(benchmark::internal::Benchmark* b) {

@@ -2,9 +2,9 @@
 /// N = 10^4, 10^5, 10^6 with bulk_join(), reports the join rate, the
 /// compact-layout bytes/node, and peak RSS, then drives a Table 1
 /// mixed-operation workload (TraceStream baskets -> route + replica-home
-/// lookups) and an event-queue churn loop against each ring. Rows merge
-/// into BENCH_scale.json (harness format plus the memory fields
-/// tools/bench_compare.py gates on: bytes_per_node, peak_rss_bytes).
+/// lookups) and an event-queue churn loop against each ring. The
+/// bulk-join rate and bytes/node are gated elsewhere on every ctest run:
+/// BM_OverlayBulkJoin (tools/bench_gate.py) and ScaleSmoke.
 ///
 /// Unlike the figure benches this one never materializes a trace or a
 /// Meteorograph: at 10^6 nodes the overlay substrate itself is the
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,89 +33,17 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Peak resident set in bytes (VmHWM), 0 if /proc is unavailable.
-std::uint64_t peak_rss_bytes() {
+/// Peak resident set in MiB (VmHWM), 0 if /proc is unavailable.
+double rss_mib() {
   std::ifstream status("/proc/self/status");
   for (std::string line; std::getline(status, line);) {
     if (line.rfind("VmHWM:", 0) == 0) {
-      std::uint64_t kb = 0;
-      std::sscanf(line.c_str(), "VmHWM: %llu",
-                  reinterpret_cast<unsigned long long*>(&kb));
-      return kb * 1024;
+      unsigned long long kb = 0;
+      std::sscanf(line.c_str(), "VmHWM: %llu", &kb);
+      return static_cast<double>(kb) / 1024.0;
     }
   }
-  return 0;
-}
-
-struct ScaleRow {
-  std::string bench;
-  double seconds = 0.0;
-  double ops_per_second = 0.0;
-  double bytes_per_node = 0.0;
-  std::uint64_t peak_rss = 0;
-};
-
-std::vector<meteo::overlay::Key> sorted_unique_keys(
-    std::size_t count, meteo::overlay::Key key_space, std::uint64_t seed) {
-  meteo::Rng rng(seed);
-  std::vector<meteo::overlay::Key> keys;
-  keys.reserve(count + count / 8);
-  while (true) {
-    while (keys.size() < count + count / 8) {
-      keys.push_back(rng.below(key_space));
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    if (keys.size() >= count) {
-      keys.resize(count);
-      return keys;
-    }
-  }
-}
-
-/// Merges rows into `path`, replacing stale records with the same bench
-/// names (same line-level rewrite as bench::append_batch_json).
-void write_json(const std::string& path, const std::vector<ScaleRow>& rows) {
-  std::vector<std::string> records;
-  {
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) {
-      if (line.find("\"bench\"") == std::string::npos) continue;
-      bool stale = false;
-      for (const ScaleRow& row : rows) {
-        if (line.find("\"bench\": \"" + row.bench + "\"") !=
-            std::string::npos) {
-          stale = true;
-          break;
-        }
-      }
-      if (stale) continue;
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      records.push_back(line);
-    }
-  }
-  for (const ScaleRow& row : rows) {
-    std::ostringstream rec;
-    rec << "    {\"bench\": \"" << row.bench << "\", \"workers\": 1"
-        << ", \"seconds\": " << row.seconds
-        << ", \"ops_per_second\": " << row.ops_per_second;
-    if (row.bytes_per_node > 0.0) {
-      rec << ", \"bytes_per_node\": " << row.bytes_per_node;
-    }
-    if (row.peak_rss > 0) {
-      rec << ", \"peak_rss_bytes\": " << row.peak_rss;
-    }
-    rec << "}";
-    records.push_back(rec.str());
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"hardware_concurrency\": 1,\n  \"results\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
+  return 0.0;
 }
 
 }  // namespace
@@ -130,7 +57,6 @@ int main(int argc, char** argv) {
                "Table 1 mixed operations per overlay size");
   cli.add_flag("events", "1000000", "event-queue schedule/fire cycles");
   cli.add_flag("seed", "1", "rng seed");
-  cli.add_flag("out", "BENCH_scale.json", "report path");
   cli.add_flag("csv", "", "unused (uniform flag surface)");
   if (!cli.parse(argc, argv)) return 1;
 
@@ -152,14 +78,13 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(std::stoll(cli.get("events")));
   const auto seed = static_cast<std::uint64_t>(std::stoll(cli.get("seed")));
 
-  std::vector<ScaleRow> rows;
   std::printf("%-28s %12s %14s %12s %10s\n", "bench", "seconds", "ops/s",
               "bytes/node", "rss MiB");
 
   for (const std::size_t n : node_counts) {
     overlay::OverlayConfig config;
     const std::vector<overlay::Key> keys =
-        sorted_unique_keys(n, config.key_space, seed);
+        bench::sorted_unique_keys(n, config.key_space, seed);
 
     // --- bulk join: ring + every routing table, from sorted keys -------
     overlay::Overlay net(config);
@@ -168,17 +93,10 @@ int main(int argc, char** argv) {
     const double join_secs = seconds_since(join_start);
     const overlay::OverlayMemoryStats stats = net.memory_stats();
 
-    ScaleRow join_row;
-    join_row.bench = "scale_bulk_join_n" + std::to_string(n);
-    join_row.seconds = join_secs;
-    join_row.ops_per_second = static_cast<double>(n) / join_secs;
-    join_row.bytes_per_node = stats.bytes_per_node();
-    join_row.peak_rss = peak_rss_bytes();
-    rows.push_back(join_row);
     std::printf("%-28s %12.3f %14.0f %12.1f %10.1f\n",
-                join_row.bench.c_str(), join_row.seconds,
-                join_row.ops_per_second, join_row.bytes_per_node,
-                static_cast<double>(join_row.peak_rss) / (1024.0 * 1024.0));
+                ("scale_bulk_join_n" + std::to_string(n)).c_str(), join_secs,
+                static_cast<double>(n) / join_secs, stats.bytes_per_node(),
+                rss_mib());
 
     // --- Table 1 mixed ops: stream baskets, route + replica homes ------
     workload::TraceConfig trace_config;  // paper-shape keyword space
@@ -202,16 +120,9 @@ int main(int argc, char** argv) {
     }
     const double ops_secs = seconds_since(ops_start);
 
-    ScaleRow ops_row;
-    ops_row.bench = "scale_mixed_ops_n" + std::to_string(n);
-    ops_row.seconds = ops_secs;
-    ops_row.ops_per_second = static_cast<double>(mixed_ops) / ops_secs;
-    ops_row.peak_rss = peak_rss_bytes();
-    rows.push_back(ops_row);
     std::printf("%-28s %12.3f %14.0f %12s %10.1f  (mean hops %.2f)\n",
-                ops_row.bench.c_str(), ops_row.seconds,
-                ops_row.ops_per_second, "-",
-                static_cast<double>(ops_row.peak_rss) / (1024.0 * 1024.0),
+                ("scale_mixed_ops_n" + std::to_string(n)).c_str(), ops_secs,
+                static_cast<double>(mixed_ops) / ops_secs, "-", rss_mib(),
                 static_cast<double>(hops) / static_cast<double>(mixed_ops));
   }
 
@@ -240,18 +151,9 @@ int main(int argc, char** argv) {
     }
     const double ev_secs = seconds_since(ev_start);
 
-    ScaleRow ev_row;
-    ev_row.bench = "scale_event_queue";
-    ev_row.seconds = ev_secs;
-    ev_row.ops_per_second = static_cast<double>(event_cycles) / ev_secs;
-    ev_row.peak_rss = peak_rss_bytes();
-    rows.push_back(ev_row);
-    std::printf("%-28s %12.3f %14.0f %12s %10.1f\n", ev_row.bench.c_str(),
-                ev_row.seconds, ev_row.ops_per_second, "-",
-                static_cast<double>(ev_row.peak_rss) / (1024.0 * 1024.0));
+    std::printf("%-28s %12.3f %14.0f %12s %10.1f\n", "scale_event_queue",
+                ev_secs, static_cast<double>(event_cycles) / ev_secs, "-",
+                rss_mib());
   }
-
-  write_json(cli.get("out"), rows);
-  std::printf("wrote %s\n", cli.get("out").c_str());
   return 0;
 }

@@ -6,14 +6,11 @@
 /// message-drop plan keeps the timeout/deadline accounting on a live
 /// path. The schedule is derived once from the seed, so every worker
 /// count serves the identical request stream over an identically built
-/// system; merged into BENCH_serve.json for the regression gate.
+/// system.
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -44,46 +41,6 @@ double percentile(std::vector<double> xs, double q) {
   return xs[idx];
 }
 
-/// BENCH_serve.json merge, line-for-line compatible with the harness
-/// report format (tools/bench_compare.py keys rows on bench/workers and
-/// ignores the extra latency/epoch columns).
-void append_serve_json(const std::string& path, const std::string& bench,
-                       const std::vector<ServeTiming>& timings) {
-  std::vector<std::string> records;
-  {
-    std::ifstream in(path);
-    const std::string mine = "\"bench\": \"" + bench + "\"";
-    for (std::string line; std::getline(in, line);) {
-      if (line.find("\"bench\"") == std::string::npos) continue;
-      if (line.find(mine) != std::string::npos) continue;
-      while (!line.empty() && (line.back() == ',' || line.back() == ' ')) {
-        line.pop_back();
-      }
-      records.push_back(line);
-    }
-  }
-  for (const ServeTiming& t : timings) {
-    std::ostringstream rec;
-    rec << "    {\"bench\": \"" << bench << "\", \"workers\": " << t.workers
-        << ", \"seconds\": " << t.seconds
-        << ", \"ops_per_second\": " << t.ops_per_second
-        << ", \"speedup\": " << t.speedup
-        << ", \"p50_latency_seconds\": " << t.p50_latency_seconds
-        << ", \"p99_latency_seconds\": " << t.p99_latency_seconds
-        << ", \"epochs_per_second\": " << t.epochs_per_second
-        << ", \"deadline_misses\": " << t.deadline_misses
-        << ", \"rejected\": " << t.rejected << "}";
-    records.push_back(rec.str());
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n  \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,8 +52,6 @@ int main(int argc, char** argv) {
   cli.add_flag("deadline", "2.0",
                "per-op simulated timeout-wait budget in seconds");
   cli.add_flag("drop-rate", "0.02", "message drop rate during serving");
-  cli.add_flag("serve-json", "BENCH_serve.json",
-               "throughput report path (empty = skip the report)");
   if (!cli.parse(argc, argv)) return 1;
   const bench::ExperimentFlags flags = bench::read_common_flags(cli);
   const std::size_t ops_per_epoch =
@@ -250,9 +205,5 @@ int main(int argc, char** argv) {
                    TextTable::integer(static_cast<long long>(t.rejected))});
   }
   bench::emit(table, flags.csv);
-
-  if (!cli.get("serve-json").empty()) {
-    append_serve_json(cli.get("serve-json"), "serve_mixed", timings);
-  }
   return 0;
 }

@@ -318,20 +318,20 @@ std::size_t EpochEngine::submit(const WithdrawOp& op) { return push(op); }
 std::size_t EpochEngine::submit(const DepartOp& op) { return push(op); }
 
 EpochEngine::SealedEpoch EpochEngine::seal() {
-  const vsm::Epoch pinned = epoch_;
+  const vsm::Epoch pinned = system_.epoch_;
   SealedEpoch sealed = executor_.run(
       pending_, next_global_ - pending_.size(), pinned, defer_read_);
 
   // Epoch boundary: advance the counter, publish the epoch metrics
   // (docs/OBSERVABILITY.md).
-  epoch_ = pinned + 1;
+  system_.epoch_ = pinned + 1;
   pending_.clear();
   if (!epoch_advances_.has_value()) {
     epoch_gauge_.emplace(system_.metrics().gauge(obs::names::kEpochCurrent));
     epoch_advances_.emplace(
         system_.metrics().counter(obs::names::kEpochAdvances));
   }
-  epoch_gauge_->set(static_cast<double>(epoch_));
+  epoch_gauge_->set(static_cast<double>(system_.epoch_));
   *epoch_advances_ += 1;
   return sealed;
 }

@@ -194,8 +194,9 @@ class EpochEngine {
     return pending_.size();
   }
 
-  /// The epoch the next seal()'s reads will pin.
-  [[nodiscard]] vsm::Epoch epoch() const noexcept { return epoch_; }
+  /// The epoch the next seal()'s reads will pin. The counter belongs to
+  /// the system, so an engine continues where an earlier one stopped.
+  [[nodiscard]] vsm::Epoch epoch() const noexcept { return system_.epoch_; }
 
   /// Configured worker count after the 0 = hardware default resolved.
   [[nodiscard]] std::size_t worker_count() const noexcept {
@@ -209,7 +210,6 @@ class EpochEngine {
   Executor executor_;
   std::function<bool(std::size_t)> defer_read_;
   std::vector<Op> pending_;
-  vsm::Epoch epoch_ = 0;
   /// Global index of the next submitted op; the pending window holds
   /// the indexes just below it.
   std::uint64_t next_global_ = 0;

@@ -524,6 +524,10 @@ class Meteorograph {
   /// spine; the facade and BatchEngine leave it 0, so their spans keep
   /// the default stamp.
   std::uint64_t span_epoch_ = 0;
+  /// The epoch the next EpochEngine::seal() pins. It lives here, not in
+  /// the engine, because the stores keep the stamps an engine's writes
+  /// left behind: a later engine must pin past them to see those items.
+  vsm::Epoch epoch_ = 0;
   bool batch_in_flight_ = false;
   SubscriptionId next_subscription_ = 1;
   std::unordered_map<SubscriptionId, std::vector<overlay::NodeId>>

@@ -360,6 +360,31 @@ TEST(EpochOracle, WriteVisibilityFlipsAtTheEpochBoundary) {
   EXPECT_TRUE(std::get<LocateResult>(second.results[seen]).found);
 }
 
+TEST(EpochOracle, FreshEngineSeesItemsAnEarlierEnginePublished) {
+  const TestWorkload wl = make_workload(60, 47);
+  Meteorograph sys(small_config(), wl.sample, 47);
+  for (vsm::ItemId id = 0; id < 50; ++id) {
+    ASSERT_TRUE(sys.publish(id, wl.vectors[id]).success);
+  }
+  {
+    EpochEngine first(sys, {.workers = 2, .seed = 3, .defer_read = {}});
+    for (vsm::ItemId id = 50; id < 53; ++id) {
+      first.submit(PublishOp{id, &wl.vectors[id], {}});
+      ASSERT_TRUE(std::get<PublishResult>(first.seal().results[0]).success);
+    }
+  }
+  // The items carry the first engine's write stamps; a new engine must
+  // pin an epoch past them rather than start over at 0.
+  EpochEngine second(sys, {.workers = 2, .seed = 4, .defer_read = {}});
+  EXPECT_EQ(second.epoch(), 3u);
+  const std::size_t late = second.submit(LocateOp{51, &wl.vectors[51], {}});
+  const std::size_t early = second.submit(LocateOp{5, &wl.vectors[5], {}});
+  const auto sealed = second.seal();
+  EXPECT_EQ(sealed.epoch, 3u);
+  EXPECT_TRUE(std::get<LocateResult>(sealed.results[late]).found);
+  EXPECT_TRUE(std::get<LocateResult>(sealed.results[early]).found);
+}
+
 TEST(EpochOracle, EpochMetricsTrackSeals) {
   const TestWorkload wl = make_workload(60, 46);
   Meteorograph sys(small_config(), wl.sample, 46);

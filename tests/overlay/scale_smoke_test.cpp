@@ -3,8 +3,8 @@
 /// sequential sorted-join + repair() construction it is contractually
 /// equivalent to, and (b) a brute-force linear scan for closest-node
 /// queries. Also pins the memory accounting the scale bench
-/// (bench/scale.cpp) reports: bytes/node stays within the compact-layout
-/// envelope DESIGN.md §13 promises.
+/// (bench/scale.cpp) reports: bytes/node stays within 15% of the
+/// compact layout DESIGN.md §13 describes.
 
 #include <gtest/gtest.h>
 
@@ -116,10 +116,12 @@ TEST(ScaleSmoke, RoutesConvergeAndMemoryStaysCompact) {
   const OverlayMemoryStats stats = overlay.memory_stats();
   EXPECT_EQ(stats.node_count, kNodes);
   EXPECT_EQ(stats.alive_count, kNodes);
-  // The compact layout's envelope: fingers + leaves in pooled u32 runs
-  // plus the flat arrays and the chunked registry. Seen ~260 B/node;
-  // fail loudly if a regression doubles it.
-  EXPECT_LT(stats.bytes_per_node(), 512.0);
+  // The compact layout: fingers + leaves in pooled u32 runs plus the
+  // flat arrays and the chunked registry. The accounting is
+  // deterministic (232.6 B/node here, whatever the key seed); 15% slack
+  // lets the pools' growth policy move but fails any layout that adds
+  // ~35 B or more to a node.
+  EXPECT_LT(stats.bytes_per_node(), 232.6 * 1.15);
   EXPECT_GT(stats.bytes_per_node(), 16.0);
 }
 

@@ -8,8 +8,9 @@
 /// `ScoredItem`/`ItemId` sequences to this scan (same floating-point
 /// summation order, same tie-breaks, same ordering). The randomized churn
 /// test (tests/vsm/local_index_oracle_test.cpp) drives both side by side,
-/// and the BM_LocalIndexNaive* microbenches use it as the "before" column
-/// of BENCH_local_index.json. It lives in tests/support (the
+/// and the BM_LocalIndexNaive* microbenches use it as the reference row
+/// the benchmark gate (tools/bench_gate.py) divides the index's speed
+/// by. It lives in tests/support (the
 /// `meteo_test_support` target), not in the library: nothing in src/
 /// uses it.
 

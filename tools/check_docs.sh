@@ -1,18 +1,14 @@
 #!/usr/bin/env bash
-# Documentation-coherence gate. Five checks:
+# Documentation-coherence gate. Three checks:
 #
-#   1. Every BENCH_*.json artifact named in docs/ or README.md has a
-#      committed baseline under tools/baselines/.
-#   2. Lint rule ids are bidirectionally coherent: every id (R1, R2,
+#   1. Lint rule ids are bidirectionally coherent: every id (R1, R2,
 #      ...) cited in docs/ or DESIGN.md §10 exists in
 #      tools/meteo_lint.py's RULES table, and every id RULES defines
 #      is documented in DESIGN.md's rule catalog.
-#   3. Every dotted series token in docs/OBSERVABILITY.md names a real
+#   2. Every dotted series token in docs/OBSERVABILITY.md names a real
 #      metric/label string in src/obs/names.hpp (stale-doc direction;
-#      check 5 walks code->doc).
-#   4. Every dotted token docs/PERFORMANCE.md mentions is a live metric
-#      name in src/obs/names.hpp.
-#   5. Every quoted string in src/obs/names.hpp (metric names, label
+#      check 3 walks code->doc).
+#   3. Every quoted string in src/obs/names.hpp (metric names, label
 #      keys, and the label values listed in its comments) appears in
 #      docs/OBSERVABILITY.md, so a metric cannot land undocumented.
 #
@@ -33,19 +29,7 @@ for f in docs/PERFORMANCE.md docs/ARCHITECTURE.md docs/OBSERVABILITY.md; do
 done
 [[ ${fail} -eq 0 ]] || { echo "check_docs: FAILED" >&2; exit 1; }
 
-# --- 1. benchmark artifacts --------------------------------------------------
-mapfile -t bench_names < <(grep -rhoE 'BENCH_[A-Za-z0-9_]+\.json' \
-  docs/*.md README.md | sort -u)
-if [[ ${#bench_names[@]} -eq 0 ]]; then
-  problem "extracted no BENCH_*.json names from docs/ (pattern drift?)"
-fi
-for b in "${bench_names[@]}"; do
-  if [[ ! -f "tools/baselines/${b}" ]]; then
-    problem "docs name ${b} but tools/baselines/${b} does not exist"
-  fi
-done
-
-# --- 2. lint rule ids (bidirectional) ----------------------------------------
+# --- 1. lint rule ids (bidirectional) ----------------------------------------
 # docs -> code: every rule id a doc cites must exist in the RULES table.
 mapfile -t rule_ids < <(grep -rhoE '\bR[0-9]+\b' docs/*.md DESIGN.md | sort -u)
 for r in "${rule_ids[@]}"; do
@@ -75,7 +59,7 @@ extract_dotted() {
     | grep -vE '\.(md|sh|py|hpp|cpp|json|txt|cmake)$' | sort -u
 }
 
-# --- 3. metric series named in OBSERVABILITY.md ------------------------------
+# --- 2. metric series named in OBSERVABILITY.md ------------------------------
 mapfile -t obs_tokens < <(extract_dotted docs/OBSERVABILITY.md || true)
 for t in "${obs_tokens[@]}"; do
   if ! grep -qF "\"${t}\"" src/obs/names.hpp; then
@@ -84,16 +68,7 @@ for t in "${obs_tokens[@]}"; do
   fi
 done
 
-# --- 4. metric series named in PERFORMANCE.md --------------------------------
-mapfile -t perf_tokens < <(extract_dotted docs/PERFORMANCE.md || true)
-for t in "${perf_tokens[@]}"; do
-  if ! grep -qF "\"${t}\"" src/obs/names.hpp; then
-    problem "docs/PERFORMANCE.md names '${t}' which is not a metric in" \
-            "src/obs/names.hpp"
-  fi
-done
-
-# --- 5. names.hpp strings documented in OBSERVABILITY.md --------------------
+# --- 3. names.hpp strings documented in OBSERVABILITY.md --------------------
 mapfile -t names < <(grep -o '"[^"]\+"' src/obs/names.hpp | tr -d '"' | sort -u)
 if [[ ${#names[@]} -eq 0 ]]; then
   problem "extracted no names from src/obs/names.hpp (pattern drift?)"
@@ -109,6 +84,5 @@ if [[ ${fail} -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
-echo "check_docs: ok (${#bench_names[@]} benchmark artifacts," \
-     "${#rule_ids[@]} lint rules, ${#obs_tokens[@]} + ${#perf_tokens[@]}" \
+echo "check_docs: ok (${#rule_ids[@]} lint rules, ${#obs_tokens[@]}" \
      "series tokens, ${#names[@]} names.hpp strings)"

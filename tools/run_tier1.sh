@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: static analysis, sanitized build, and the fast test tier.
 # This is the pre-merge check — tier2 (whole-system integration sweeps)
-# runs in the full `ctest` invocation instead.
+# runs in the full `ctest` invocation instead, and so does the `bench`
+# label (tools/bench_gate.py): it times code, and timing under sanitizers
+# is meaningless, so it runs only in the plain (unsanitized) build tree.
 #
 # Usage: tools/run_tier1.sh [build-dir]
 #   build-dir    defaults to build-tier1 (kept separate from the plain
@@ -80,20 +82,13 @@ ctest --test-dir "$build_dir" -L tier1 --output-on-failure -j "$(nproc)"
 # format (docs/OBSERVABILITY.md, DESIGN.md §8).
 "$build_dir/tools/trace_dump" --selftest
 
-# Benchmark-regression gate: the comparator must prove it can catch an
-# injected regression, then the committed throughput numbers must sit
-# within 15% of the baseline snapshots (tools/baselines/).
-python3 tools/bench_compare.py --selftest
-python3 tools/bench_compare.py tools/baselines/BENCH_batch.json BENCH_batch.json
-python3 tools/bench_compare.py tools/baselines/BENCH_local_index.json BENCH_local_index.json
-python3 tools/bench_compare.py tools/baselines/BENCH_serve.json BENCH_serve.json
-python3 tools/bench_compare.py tools/baselines/BENCH_ablation_naming.json BENCH_ablation_naming.json
-python3 tools/bench_compare.py tools/baselines/BENCH_kernels.json BENCH_kernels.json
-python3 tools/bench_compare.py tools/baselines/BENCH_scale.json BENCH_scale.json
+# The measured bench gate cannot run in this tree (see above), but each
+# of its bounds must still prove it fails on a synthetic breach.
+python3 tools/bench_gate.py --selftest
 
-# Docs-coherence gate: every benchmark artifact, lint rule and metric
-# series named in docs/ must exist in the tree, and every metric name in
-# src/obs/names.hpp must be documented in docs/OBSERVABILITY.md.
+# Docs-coherence gate: every lint rule and metric series named in docs/
+# must exist in the tree, and every metric name in src/obs/names.hpp must
+# be documented in docs/OBSERVABILITY.md.
 tools/check_docs.sh
 
 # ThreadSanitizer over the whole tier1 label (not a hand-picked filter
